@@ -8,8 +8,9 @@
 // Every run happens twice in one process — once fanned out over a thread
 // pool, once in the serial reference mode — and the two state digests must
 // be bit-identical: the speculative placement lanes are partitioned by
-// config, not by thread count, and every lane context catches up through
-// the snapshot's delta journal (the run_table1 idiom).
+// config, not by thread count, and read one shared context that catches up
+// through the snapshot's delta journal once per round (the run_table1
+// idiom).
 //
 // Headline contract (tracked in BENCH_service.json and checked in CI):
 // the pooled and serial runs are bit-identical, and the scheduler sustains

@@ -91,6 +91,7 @@ PROFILES = {
             "select.ctx.rows.repaired",
             "select.ctx.rows.invalidated.partial",
             "select.ctx.rows.invalidated.full",
+            "select.ctx.rows.flushes",
             "api.reselect.calls",
             "api.reselect.migrations",
             "api.degradation.full",
@@ -100,6 +101,9 @@ PROFILES = {
         "histograms": [
             "select.ctx.csr_patch_s",
             "select.latency_s.balanced",
+        ],
+        "gauges": [
+            "select.ctx.log.pending",
         ],
     },
     "exact": {
@@ -143,6 +147,7 @@ PROFILES = {
             "api.degradation.prior",
             "select.ctx.row_hits",
             "select.ctx.row_misses",
+            "select.ctx.rows.flushes",
             "select.selections",
             "obs.ts.samples",
             "obs.ts.dropped",
@@ -160,6 +165,7 @@ PROFILES = {
             "sched.queue.depth",
             "sched.jobs.running",
             "obs.ts.series",
+            "select.ctx.log.pending",
         ],
     },
 }

@@ -121,17 +121,17 @@ void register_scheduler_metrics() {
 
 SchedulerService::SchedulerService(const topo::TopologyGraph& g,
                                    SchedulerConfig cfg)
-    : graph_(&g), cfg_(cfg), cluster_(g), prior_(g) {
+    : graph_(&g),
+      cfg_(cfg),
+      cluster_(g),
+      prior_(g),
+      live_ctx_(cluster_),
+      prior_ctx_(prior_) {
   if (cfg_.placement_lanes < 1)
     throw std::invalid_argument("SchedulerConfig: placement_lanes < 1");
   if (cfg_.backfill_window < 1)
     throw std::invalid_argument("SchedulerConfig: backfill_window < 1");
   cluster_.set_delta_journal_capacity(cfg_.journal_capacity);
-  lanes_.resize(static_cast<std::size_t>(cfg_.placement_lanes));
-  for (Lane& l : lanes_) {
-    l.live = std::make_unique<select::SelectionContext>(cluster_);
-    l.prior = std::make_unique<select::SelectionContext>(prior_);
-  }
   taken_.assign(g.node_count(), 0);
   register_scheduler_metrics();
   flight_ = cfg_.flight ? cfg_.flight : &obs::FlightRecorder::global();
@@ -321,10 +321,6 @@ std::vector<std::uint64_t> SchedulerService::queued_jobs() const {
   return {queue_.begin(), queue_.end()};
 }
 
-SchedulerService::Lane& SchedulerService::lane(std::size_t i) {
-  return lanes_[i % lanes_.size()];
-}
-
 api::DegradationLevel SchedulerService::ladder_level(
     const std::string& tenant) const {
   api::DegradationPolicy policy;  // default thresholds for unknown tenants
@@ -353,7 +349,7 @@ select::SelectionOptions SchedulerService::job_options(
 }
 
 SchedulerService::Decision SchedulerService::place_job(
-    const JobRecord& rec, Lane& ln, const std::vector<char>& taken) const {
+    const JobRecord& rec, const std::vector<char>& taken) const {
   const auto t0 = std::chrono::steady_clock::now();
   Decision d;
   d.level = ladder_level(rec.spec.tenant);
@@ -362,7 +358,7 @@ SchedulerService::Decision SchedulerService::place_job(
   for (std::size_t i = 0; i < taken.size(); ++i)
     opt.eligible[i] = taken[i] ? 0 : 1;
   const select::SelectionContext& ctx =
-      d.level == api::DegradationLevel::Prior ? *ln.prior : *ln.live;
+      d.level == api::DegradationLevel::Prior ? prior_ctx_ : live_ctx_;
   {
     const std::vector<char> elig = ctx.eligibility(opt);
     d.candidates = static_cast<std::size_t>(
@@ -421,29 +417,39 @@ void SchedulerService::schedule_round() {
                                     queue_.begin() +
                                         static_cast<std::ptrdiff_t>(window));
 
+    // Catch the shared contexts up once, serially; Phase A only reads
+    // them. The catch-up is part of the round's first decision, as each
+    // decision's own work is.
+    const auto t_sync = std::chrono::steady_clock::now();
+    live_ctx_.sync();
+    prior_ctx_.sync();
+    const double sync_seconds = std::chrono::duration<double>(
+                                    std::chrono::steady_clock::now() - t_sync)
+                                    .count();
+
     // Phase A — speculate placements against the round-start state. Lane
     // count (config) fixes the partition; the pool only adds concurrency,
     // so results are bit-identical at any thread count. Lane k serially
-    // handles candidates k, k+L, k+2L, ... on its own long-lived contexts;
-    // nothing mutates cluster_ (or taken_) during this phase.
+    // handles candidates k, k+L, k+2L, ...; nothing mutates cluster_ (or
+    // taken_) during this phase.
     const std::size_t L =
         std::min(window, static_cast<std::size_t>(cfg_.placement_lanes));
     std::vector<Decision> dec(window);
     const std::vector<char>& taken = taken_;
     auto lane_body = [&](std::size_t k) {
-      Lane& ln = lane(k);
       for (std::size_t i = k; i < window; i += L)
-        dec[i] = place_job(jobs_[cand[i]], ln, taken);
+        dec[i] = place_job(jobs_[cand[i]], taken);
     };
     if (cfg_.pool && L > 1) {
       util::parallel_for(*cfg_.pool, L, lane_body);
     } else {
       for (std::size_t k = 0; k < L; ++k) lane_body(k);
     }
+    dec[0].seconds += sync_seconds;
 
     // Phase B — commit serially in queue order. A speculative set that
     // collides with an earlier commit of this round is re-placed serially
-    // against the updated state on lane 0.
+    // against the updated state.
     for (std::size_t i = 0; i < window; ++i) {
       JobRecord& rec = jobs_[cand[i]];
       Decision d = std::move(dec[i]);
@@ -478,7 +484,7 @@ void SchedulerService::schedule_round() {
             cfg_.job_trace->span(rec.id, open->root, "place.conflict", now_,
                                  now_);
           const double spec_seconds = d.seconds;
-          d = place_job(rec, lane(0), taken_);
+          d = place_job(rec, taken_);
           d.seconds += spec_seconds;
         }
       }
@@ -570,8 +576,8 @@ void SchedulerService::release(JobRecord& rec) {
   Allocation& alloc = it->second;
   // Exact inverse: restore the recorded pre-values in reverse order, so a
   // sensor touched twice within one allocation unwinds to its original
-  // reading. Each mutation lands in the delta journal; the lane contexts
-  // repair their caches fine-grainedly on the next round.
+  // reading. Each mutation lands in the delta journal; the shared context
+  // repairs its caches fine-grainedly on its next catch-up.
   for (auto li = alloc.links.rbegin(); li != alloc.links.rend(); ++li) {
     cluster_.set_bw_dir(li->link, true, li->fwd);
     cluster_.set_bw_dir(li->link, false, li->rev);
@@ -585,7 +591,6 @@ void SchedulerService::release(JobRecord& rec) {
 void SchedulerService::maybe_rebalance() {
   if (!cfg_.rebalance_on_release || allocations_.empty()) return;
   SchedMetrics& m = metrics();
-  Lane& ln = lane(0);
 
   // The release just freed capacity: give it to the worst-off running job
   // (lowest criterion score, ties to the lowest id — allocations_ iterates
@@ -597,7 +602,7 @@ void SchedulerService::maybe_rebalance() {
     const JobRecord& rec = jobs_[id];
     const select::SelectionOptions opt = job_options(rec.spec, rec.ladder);
     const double s = api::criterion_score(
-        rec.spec.criterion, select::evaluate_set(*ln.live, rec.nodes, opt));
+        rec.spec.criterion, select::evaluate_set(live_ctx_, rec.nodes, opt));
     if (!have || s < worst_score) {
       have = true;
       worst = id;
@@ -622,7 +627,7 @@ void SchedulerService::maybe_rebalance() {
 
   ++stats_.rebalance_attempts;
   m.rebalance_attempts.inc();
-  const api::ReselectResult r = api::reselect(*ln.live, rec.nodes, ropt);
+  const api::ReselectResult r = api::reselect(live_ctx_, rec.nodes, ropt);
   // kept_current is the journal-trustworthy "nothing moved" signal: the
   // current placement stays in force and there is nothing to re-apply.
   if (r.kept_current || !r.feasible || r.migrations == 0) return;

@@ -19,17 +19,22 @@
 //     Placement commits and job releases mutate it through the ordinary
 //     setters, so every change lands in the snapshot's typed remos::Delta
 //     journal (PR 6) — nothing here invalidates a cache wholesale.
-//   * Placements run on a fixed set of "lanes", each holding a long-lived
-//     epoch-snapshotted select::SelectionContext over the cluster snapshot.
-//     A scheduling round fans the queued window out over the lanes
-//     (optionally on a util::ThreadPool); each lane catches up with the
-//     snapshot by consuming the missed delta suffix (fine-grained row
-//     repair), then speculates a placement against the round-start state.
+//   * Placements run against ONE long-lived epoch-snapshotted
+//     select::SelectionContext over the cluster snapshot (plus one over the
+//     never-mutated capacity prior), shared by every placement lane. A
+//     scheduling round first brings the shared context up to date, serially
+//     and once: it consumes the missed delta suffix, patching weights and
+//     deletion orders and logging changed links; each cached bottleneck row
+//     is repaired lazily on its next read. The queued window is then split
+//     over "lanes" (optionally run on a util::ThreadPool) that speculate
+//     placements against the round-start state and only read the context.
 //     Commits are then applied serially in queue order; a later job whose
 //     speculative set collides with an earlier commit of the same round is
-//     re-placed serially. Because every lane context is bit-identical to a
-//     rebuilt one (the PR 6 oracle) and the commit order is fixed, a seeded
-//     run is bit-identical at any thread count and any lane count.
+//     re-placed serially on the same context, as is the rebalancer. Because
+//     the context is bit-identical to a rebuilt one (the incremental
+//     oracle), a row read is the same whichever thread repairs it, and the
+//     commit order is fixed, a seeded run is bit-identical at any thread
+//     count and any lane count.
 //   * Per-tenant graceful degradation: each tenant carries an
 //     api::DegradationPolicy; the scheduler compares the current
 //     measurement coverage (set_measurement_coverage — in production wired
@@ -57,7 +62,6 @@
 #include <deque>
 #include <limits>
 #include <map>
-#include <memory>
 #include <optional>
 #include <queue>
 #include <string>
@@ -135,7 +139,8 @@ struct JobRecord {
   /// Eligible (untaken compute) candidates the placing decision saw.
   std::size_t candidates = 0;
   /// Wall-clock seconds the placement decision cost (speculation plus any
-  /// conflict re-placement). Observational only.
+  /// conflict re-placement; a round's first decision also carries the
+  /// round's context catch-up). Observational only.
   double placement_seconds = 0.0;
   /// Placement attempts that came back infeasible while queued.
   int infeasible_attempts = 0;
@@ -174,15 +179,17 @@ struct SchedulerConfig {
   /// while jobs are queued, so the speculative lanes fan out over real
   /// multi-candidate windows.
   double schedule_interval = 0.0;
-  /// Long-lived SelectionContext lanes speculative placements fan out
-  /// over. Results are independent of this value (and of the pool's
-  /// worker count); it only bounds intra-round parallelism.
+  /// Lanes a round's speculative placements are split over (lane k takes
+  /// window slots k, k+L, ...); every lane reads the same shared context.
+  /// Results are independent of this value (and of the pool's worker
+  /// count); it only bounds intra-round parallelism.
   int placement_lanes = 4;
   /// Worker pool for the speculative phase; null = serial (bit-identical).
   util::ThreadPool* pool = nullptr;
   /// Delta-journal capacity of the cluster snapshot: must cover the
-  /// mutations between two uses of the *least recently used* lane, or that
-  /// lane pays a full rebuild (correct either way).
+  /// mutations between two catch-ups of the shared context (a round's
+  /// start, a conflict re-placement, a rebalance), or that catch-up pays a
+  /// full rebuild (correct either way).
   std::size_t journal_capacity = 65536;
   /// Rebalance after each release: re-place the worst-scoring running job
   /// through api::reselect under rebalance_budget migrations.
@@ -237,8 +244,8 @@ class SchedulerService {
   SchedulerService& operator=(const SchedulerService&) = delete;
 
   /// The shared mutable cluster state. External churn (monitor refreshes,
-  /// bench load) may mutate it between run_until calls; the lanes pick the
-  /// deltas up journal-wise on the next round.
+  /// bench load) may mutate it between run_until calls; the shared context
+  /// picks the deltas up journal-wise on the next round.
   remos::NetworkSnapshot& snapshot() { return cluster_; }
   const remos::NetworkSnapshot& snapshot() const { return cluster_; }
   const topo::TopologyGraph& graph() const { return *graph_; }
@@ -294,12 +301,6 @@ class SchedulerService {
       return a.time != b.time ? a.time > b.time : a.seq > b.seq;
     }
   };
-  /// A placement lane: long-lived contexts over the live cluster snapshot
-  /// and over the never-mutated capacity prior.
-  struct Lane {
-    std::unique_ptr<select::SelectionContext> live;
-    std::unique_ptr<select::SelectionContext> prior;
-  };
   /// One speculative placement decision (round-start state).
   struct Decision {
     bool feasible = false;
@@ -316,8 +317,9 @@ class SchedulerService {
   void handle_timeout(std::uint64_t id);
   /// One admit/queue/place round over the backfill window.
   void schedule_round();
-  /// Speculative placement of `rec` against `taken` on `lane`.
-  Decision place_job(const JobRecord& rec, Lane& lane,
+  /// Placement of `rec` against `taken` on the shared contexts. Safe to
+  /// run on many threads once both contexts are synced.
+  Decision place_job(const JobRecord& rec,
                      const std::vector<char>& taken) const;
   select::SelectionOptions job_options(const JobSpec& spec,
                                        api::DegradationLevel level) const;
@@ -332,7 +334,6 @@ class SchedulerService {
   void remove_queued(std::uint64_t id);
   /// Refresh stats_.queued / stats_.running and their obs gauges.
   void sync_depth_gauges();
-  Lane& lane(std::size_t i);
   void push_event(double time, Event::Kind kind, std::uint64_t job);
   void note_ladder(const std::string& tenant, api::DegradationLevel level);
   /// Close a job's causal trace at a terminal state (drops the open-span
@@ -343,7 +344,9 @@ class SchedulerService {
   SchedulerConfig cfg_;
   remos::NetworkSnapshot cluster_;
   remos::NetworkSnapshot prior_;  ///< capacity/zero-load, never mutated
-  std::vector<Lane> lanes_;
+  /// Shared by every lane: over cluster_ and over prior_.
+  select::SelectionContext live_ctx_;
+  select::SelectionContext prior_ctx_;
   double now_ = 0.0;
   double coverage_ = 1.0;
   bool tick_pending_ = false;

@@ -53,7 +53,13 @@ ThreadPool::ThreadPool(int threads) {
 }
 
 ThreadPool::~ThreadPool() {
-  stop_.store(true);
+  // Store under sleep_mu_, like submit()'s fence: a worker between its
+  // wait-predicate check and blocking would otherwise miss the notify and
+  // sleep forever, hanging the join below.
+  {
+    std::lock_guard<std::mutex> lock(sleep_mu_);
+    stop_.store(true);
+  }
   sleep_cv_.notify_all();
   for (std::thread& t : threads_) t.join();
 }

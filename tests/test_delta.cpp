@@ -6,17 +6,20 @@
 // decompositions, bottleneck rows, selections under every criterion, and
 // set evaluations. Also covers the journal mechanics (typed emission,
 // bounded trimming, overflow fallback), the CSR patch-vs-rebuild equality,
-// row storage stability under value-only deltas, and the bounded-migration
-// reselect layer.
+// row storage stability under value-only deltas, lazy row repair (rows
+// catch up with the changed-link log only when read, also from many
+// threads at once), and the bounded-migration reselect layer.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <latch>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "api/reselect.hpp"
+#include "obs/metrics.hpp"
 #include "select/algorithms.hpp"
 #include "select/context.hpp"
 #include "select/objective.hpp"
@@ -477,6 +480,318 @@ TEST(IncrementalOracle, WarmedRowsStayConsistentAcrossDeltas) {
   inst.snap->set_bw(links[1], 0.5 * inst.snap->maxbw(links[1]));
   inst.snap->set_bw(links[3], 0.25 * inst.snap->maxbw(links[3]));
   expect_matches_rebuild(ctx, *inst.snap, "after warm+delta");
+}
+
+// ---------------------------------------------------------------------------
+// Lazy row repair: a bandwidth delta only logs the changed link; each row
+// catches up when it is next read. Every row built so far must equal a
+// fresh build whenever it is read, however long it sat behind the log.
+// ---------------------------------------------------------------------------
+
+std::uint64_t counter_value(const char* name) {
+  return obs::Registry::global().counter(name).value();
+}
+
+/// The obs registry on for one scope: the counter assertions need it.
+struct ObsOn {
+  bool was = obs::enabled();
+  ObsOn() { obs::set_enabled(true); }
+  ~ObsOn() { obs::set_enabled(was); }
+};
+
+/// Reads every row of `sources` (skipping removed nodes) from `ctx` and
+/// compares it bit for bit with a fresh context's.
+void expect_rows_match_fresh(const select::SelectionContext& ctx,
+                             const remos::NetworkSnapshot& snap,
+                             const std::vector<topo::NodeId>& sources,
+                             const std::string& what) {
+  select::SelectionContext fresh(snap);
+  for (topo::NodeId s : sources) {
+    if (snap.graph().node_removed(s)) continue;
+    expect_rows_equal(ctx.pair_row(s), fresh.pair_row(s),
+                      what + " row " + std::to_string(s));
+  }
+}
+
+topo::LinkId random_link(util::Rng& rng, const topo::TopologyGraph& g) {
+  const auto links = present_links(g);
+  return links[static_cast<std::size_t>(
+      rng.uniform_int(0, static_cast<std::int64_t>(links.size()) - 1))];
+}
+
+/// One refresh: `n` bandwidth writes on random present links.
+void bw_refresh(util::Rng& rng, remos::NetworkSnapshot& snap, int n) {
+  for (int i = 0; i < n; ++i) {
+    const topo::LinkId l = random_link(rng, snap.graph());
+    snap.set_bw(l, rng.uniform(0.05, 1.0) * snap.maxbw(l));
+  }
+}
+
+/// A family instance with a context whose rows are built for every host.
+struct LazyCase {
+  Instance inst;
+  std::unique_ptr<select::SelectionContext> ctx;
+  std::vector<topo::NodeId> hosts;
+  LazyCase(int family, std::uint64_t seed)
+      : inst(family_instance(family, seed)) {
+    ctx = std::make_unique<select::SelectionContext>(*inst.snap);
+    hosts = present_computes(*inst.graph);
+    for (topo::NodeId h : hosts) ctx->pair_row(h);
+  }
+  std::string tag(int family, std::uint64_t seed) const {
+    return "family " + std::to_string(family) + " seed " +
+           std::to_string(seed);
+  }
+};
+
+TEST(LazyRepair, RowsReadOnlyEveryKthRefreshMatchRebuild) {
+  for (int family = 0; family < 3; ++family) {
+    for (int k : {1, 2, 3, 5}) {
+      const auto seed = static_cast<std::uint64_t>(40 + k);
+      LazyCase c(family, seed);
+      util::Rng rng(seed * 131 + static_cast<std::uint64_t>(family));
+      for (int refresh = 1; refresh <= 12; ++refresh) {
+        bw_refresh(rng, *c.inst.snap, 6);
+        c.ctx->sync();  // serial catch-up: the rows stay behind the log
+        if (refresh % k == 0)
+          expect_rows_match_fresh(*c.ctx, *c.inst.snap, c.hosts,
+                                  c.tag(family, seed) + " k " +
+                                      std::to_string(k) + " refresh " +
+                                      std::to_string(refresh));
+        // One rotating extra read leaves rows at different log positions.
+        c.ctx->pair_row(
+            c.hosts[static_cast<std::size_t>(refresh) % c.hosts.size()]);
+        if (::testing::Test::HasFailure()) return;
+      }
+    }
+  }
+}
+
+TEST(LazyRepair, OneLinkChangedManyTimesBetweenReads) {
+  for (int family = 0; family < 3; ++family) {
+    LazyCase c(family, 7);
+    // A link on the first host's tree: most rows route over it or its
+    // neighbours.
+    const topo::BottleneckRow& row0 = c.ctx->pair_row(c.hosts[0]);
+    const topo::LinkId l =
+        row0.tree_link[static_cast<std::size_t>(row0.order.back())];
+    ASSERT_NE(l, topo::kInvalidLink);
+    util::Rng rng(900 + static_cast<std::uint64_t>(family));
+    for (int i = 0; i < 40; ++i) {
+      c.inst.snap->set_bw(l, rng.uniform(0.05, 1.0) * c.inst.snap->maxbw(l));
+      if (i % 7 == 0) c.ctx->sync();
+    }
+    expect_rows_match_fresh(*c.ctx, *c.inst.snap, c.hosts,
+                            c.tag(family, 7) + " one link");
+  }
+}
+
+// The coalescing contract: N deltas on one link followed by one read cost
+// that row exactly one repair, and nothing is repaired before the read.
+TEST(LazyRepair, NDeltasOnOneLinkCostOneRepairPerRow) {
+  ObsOn obs_on;
+  topo::TopologyGraph g;
+  auto sw = g.add_network("sw");
+  std::vector<topo::NodeId> h;
+  std::vector<topo::LinkId> hl;
+  // More links than deltas: the log stays under its flush limit.
+  constexpr int kN = 25;
+  for (int i = 0; i < kN + 7; ++i) {
+    h.push_back(g.add_compute("h" + std::to_string(i)));
+    hl.push_back(g.add_link(sw, h.back(), topo::k100Mbps));
+  }
+  remos::NetworkSnapshot snap(g);
+  select::SelectionContext ctx(snap);
+  ctx.pair_row(h[0]);  // the only built row; its tree uses every link
+  const std::uint64_t before = counter_value("select.ctx.rows.repaired");
+  // A catch-up after every delta, so each one lands in the log (deltas
+  // consumed in one catch-up already converge on the final weight).
+  for (int i = 1; i <= kN; ++i) {
+    snap.set_bw(hl[1], 1e6 * i);
+    ctx.sync();
+  }
+  EXPECT_EQ(counter_value("select.ctx.rows.repaired"), before);
+  EXPECT_EQ(obs::Registry::global().gauge("select.ctx.log.pending").value(),
+            static_cast<double>(kN));
+  const topo::BottleneckRow& row = ctx.pair_row(h[0]);
+  EXPECT_EQ(counter_value("select.ctx.rows.repaired"), before + 1);
+  EXPECT_DOUBLE_EQ(row.bottleneck[static_cast<std::size_t>(h[1])], kN * 1e6);
+  ctx.pair_row(h[0]);  // current now: a plain hit
+  EXPECT_EQ(counter_value("select.ctx.rows.repaired"), before + 1);
+  select::SelectionContext fresh(snap);
+  expect_rows_equal(row, fresh.pair_row(h[0]), "coalesced");
+}
+
+TEST(LazyRepair, PendingLinkThenRemoved) {
+  for (int family = 0; family < 3; ++family) {
+    for (bool sync_between : {false, true}) {
+      LazyCase c(family, 13);
+      util::Rng rng(77 + static_cast<std::uint64_t>(family));
+      const topo::LinkId l = random_link(rng, *c.inst.graph);
+      c.inst.snap->set_bw(l, 0.3 * c.inst.snap->maxbw(l));
+      bw_refresh(rng, *c.inst.snap, 4);
+      if (sync_between) c.ctx->sync();
+      c.inst.graph->remove_link(l);
+      c.inst.snap->notify_link_removed(l);
+      bw_refresh(rng, *c.inst.snap, 3);  // pending again after the flush
+      expect_rows_match_fresh(*c.ctx, *c.inst.snap, c.hosts,
+                              c.tag(family, 13) + " removed" +
+                                  (sync_between ? " (synced)" : ""));
+      expect_matches_rebuild(*c.ctx, *c.inst.snap,
+                             c.tag(family, 13) + " removed, full oracle");
+    }
+  }
+}
+
+TEST(LazyRepair, NodeOrLinkAddedWhileEntriesPending) {
+  for (int family = 0; family < 3; ++family) {
+    for (bool add_link : {false, true}) {
+      LazyCase c(family, 17);
+      util::Rng rng(31 + static_cast<std::uint64_t>(family));
+      bw_refresh(rng, *c.inst.snap, 5);
+      c.ctx->sync();
+      auto n = c.inst.graph->add_compute("late");
+      c.inst.snap->notify_node_added(n);
+      if (add_link) {
+        auto id = c.inst.graph->add_link(c.hosts[0], n, topo::k100Mbps);
+        c.inst.snap->notify_link_added(id);
+      }
+      bw_refresh(rng, *c.inst.snap, 3);
+      c.ctx->sync();
+      const std::string what = c.tag(family, 17) +
+                               (add_link ? " link added" : " node added");
+      expect_rows_match_fresh(*c.ctx, *c.inst.snap, c.hosts, what);
+      expect_matches_rebuild(*c.ctx, *c.inst.snap, what + ", full oracle");
+    }
+  }
+}
+
+TEST(LazyRepair, LogCrossingItsFlushLimit) {
+  ObsOn obs_on;
+  for (int family = 0; family < 3; ++family) {
+    LazyCase c(family, 23);
+    const std::size_t links = c.inst.graph->link_count();
+    const std::uint64_t flushes0 = counter_value("select.ctx.rows.flushes");
+    util::Rng rng(5 + static_cast<std::uint64_t>(family));
+    // Well past the link count, read only now and then: entries pile up
+    // behind the unread rows until the limit flushes them.
+    const int refreshes = static_cast<int>(3 * links / 4) + 2;
+    for (int r = 0; r < refreshes; ++r) {
+      bw_refresh(rng, *c.inst.snap, 4);
+      c.ctx->sync();
+      EXPECT_LE(obs::Registry::global().gauge("select.ctx.log.pending").value(),
+                static_cast<double>(links));
+      if (r % 9 == 8) c.ctx->pair_row(c.hosts[0]);
+    }
+    EXPECT_GT(counter_value("select.ctx.rows.flushes"), flushes0);
+    expect_rows_match_fresh(*c.ctx, *c.inst.snap, c.hosts,
+                            c.tag(family, 23) + " past flush limit");
+  }
+}
+
+TEST(LazyRepair, TrimmedJournalWhileEntriesPending) {
+  ObsOn obs_on;
+  for (int family = 0; family < 3; ++family) {
+    LazyCase c(family, 29);
+    c.inst.snap->set_delta_journal_capacity(4);
+    util::Rng rng(11 + static_cast<std::uint64_t>(family));
+    bw_refresh(rng, *c.inst.snap, 3);
+    c.ctx->sync();  // three entries pending behind every row
+    const std::uint64_t inval0 = counter_value("select.ctx.invalidations");
+    bw_refresh(rng, *c.inst.snap, 9);  // more than the journal keeps
+    c.ctx->sync();
+    EXPECT_EQ(counter_value("select.ctx.invalidations"), inval0 + 1);
+    EXPECT_EQ(obs::Registry::global().gauge("select.ctx.log.pending").value(),
+              0.0);
+    expect_rows_match_fresh(*c.ctx, *c.inst.snap, c.hosts,
+                            c.tag(family, 29) + " trimmed journal");
+    bw_refresh(rng, *c.inst.snap, 2);  // lazy again after the rebuild
+    expect_matches_rebuild(*c.ctx, *c.inst.snap,
+                           c.tag(family, 29) + " after rebuild");
+  }
+}
+
+// After a batch of deltas and the serial catch-up, many threads read one
+// context at once. The readers start together and walk the same rows, so
+// they meet on rows still behind the log. Every read must equal the serial
+// run's.
+TEST(LazyRepair, ConcurrentReadersMatchSerialRun) {
+  // Large enough that a row's catch-up (one repair per changed access link
+  // in its tree) outlasts the readers' start-up skew.
+  const topo::TopologyGraph g =
+      topo::fat_tree(topo::fat_tree_for_hosts(256, 16, 2.0, 21));
+  remos::NetworkSnapshot snap(g);
+  remos::apply_synthetic_load(snap, 21);
+  const auto hosts = present_computes(g);
+  const std::size_t H = hosts.size();
+  select::SelectionContext shared(snap);
+  select::SelectionContext serial(snap);
+  for (topo::NodeId h : hosts) {
+    shared.pair_row(h);
+    serial.pair_row(h);
+  }
+  struct Read {
+    std::vector<double> bottleneck, bottleneck2;
+    select::SetEvaluation eval;
+  };
+  // Read t: the rows of four hosts a quarter of the fabric apart, and
+  // their evaluation as a set.
+  auto read = [&](const select::SelectionContext& ctx, std::size_t t) {
+    std::vector<topo::NodeId> set;
+    for (std::size_t j = 0; j < 4; ++j)
+      set.push_back(hosts[(t + j * H / 4) % H]);
+    std::sort(set.begin(), set.end());
+    Read r;
+    for (topo::NodeId s : set) {
+      const topo::BottleneckRow& row = ctx.pair_row(s);
+      r.bottleneck.insert(r.bottleneck.end(), row.bottleneck.begin(),
+                          row.bottleneck.end());
+      r.bottleneck2.insert(r.bottleneck2.end(), row.bottleneck2.begin(),
+                           row.bottleneck2.end());
+    }
+    r.eval = select::evaluate_set(ctx, set, select::SelectionOptions{});
+    return r;
+  };
+  constexpr std::size_t kReaders = 4;
+  util::ThreadPool pool(static_cast<int>(kReaders));
+  util::Rng rng(2024);
+  const std::size_t reads = H / 4;  // together they cover every host
+  for (int round = 0; round < 6; ++round) {
+    bw_refresh(rng, snap, 96);
+    shared.sync();
+    std::vector<Read> expect(reads);
+    for (std::size_t t = 0; t < reads; ++t) expect[t] = read(serial, t);
+    std::vector<std::vector<Read>> got(kReaders, std::vector<Read>(reads));
+    // Four tasks on four workers (plus the helping caller): each task holds
+    // its thread at the latch until all four run.
+    std::latch start(static_cast<std::ptrdiff_t>(kReaders));
+    util::parallel_for(pool, kReaders, [&](std::size_t r) {
+      start.arrive_and_wait();
+      for (std::size_t k = 0; k < reads; ++k) {
+        const std::size_t t = r % 2 ? reads - 1 - k : k;
+        got[r][t] = read(shared, t);
+      }
+    });
+    for (std::size_t r = 0; r < kReaders; ++r) {
+      for (std::size_t t = 0; t < reads; ++t) {
+        const std::string what = "round " + std::to_string(round) +
+                                 " reader " + std::to_string(r) + " read " +
+                                 std::to_string(t);
+        const Read& a = got[r][t];
+        const Read& b = expect[t];
+        EXPECT_EQ(a.bottleneck, b.bottleneck) << what;
+        EXPECT_EQ(a.bottleneck2, b.bottleneck2) << what;
+        EXPECT_EQ(a.eval.connected, b.eval.connected) << what;
+        EXPECT_EQ(a.eval.min_cpu, b.eval.min_cpu) << what;
+        EXPECT_EQ(a.eval.min_pair_bw, b.eval.min_pair_bw) << what;
+        EXPECT_EQ(a.eval.min_pair_bw_fraction, b.eval.min_pair_bw_fraction)
+            << what;
+        EXPECT_EQ(a.eval.balanced, b.eval.balanced) << what;
+        EXPECT_EQ(a.eval.max_pair_latency, b.eval.max_pair_latency) << what;
+      }
+    }
+  }
+  expect_rows_match_fresh(shared, snap, hosts, "after concurrent reads");
 }
 
 // ---------------------------------------------------------------------------

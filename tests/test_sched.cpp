@@ -1,7 +1,8 @@
 // sched::SchedulerService — the placement-as-a-service loop. Covers the
 // admit -> queue -> place -> release state machine transitions, admission
 // rejection and queue timeouts, the bit-identity of state_digest() across
-// thread counts (the bench_service headline contract), exact snapshot
+// thread counts, lane counts and journal capacities (the bench_service
+// headline contract), exact snapshot
 // restore after drain(), the per-tenant degradation ladder under partial
 // measurement coverage, the rebalance path honouring a kept_current
 // reselect, and the determinism of the JobStream workload generator.
@@ -12,6 +13,7 @@
 #include <set>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "sched/scheduler.hpp"
 #include "sched/workload.hpp"
 #include "topo/synthetic.hpp"
@@ -145,6 +147,52 @@ TEST(SchedulerService, DigestBitIdenticalAcrossThreadCounts) {
   util::ThreadPool four(4);
   EXPECT_EQ(serial, run_once(&two));
   EXPECT_EQ(serial, run_once(&four));
+}
+
+// Every lane reads one shared context. With a four-entry journal that
+// context takes the full-rebuild path mid-run; neither that, the lane count
+// nor the pool may show in the digest.
+TEST(SchedulerService, SharedContextDigestInvariantAcrossLanesPoolsJournal) {
+  auto g = small_fabric(29);
+  auto run_once = [&](int lanes, util::ThreadPool* pool,
+                      std::size_t journal_capacity) {
+    SchedulerConfig cfg;
+    cfg.placement_lanes = lanes;
+    cfg.backfill_window = 6;
+    cfg.schedule_interval = 1.0;
+    cfg.rebalance_on_release = true;
+    cfg.rebalance_budget = 1;
+    cfg.journal_capacity = journal_capacity;
+    cfg.pool = pool;
+    SchedulerService sched(g, cfg);
+    remos::apply_synthetic_load(sched.snapshot(), 91);
+    JobStream stream(pressured_workload(9));
+    stream.feed(sched, 40);
+    sched.drain();
+    EXPECT_GT(sched.stats().placed, 0u);
+    EXPECT_GT(sched.stats().rebalance_attempts, 0u);
+    return sched.state_digest();
+  };
+
+  const bool obs_was_on = obs::enabled();
+  obs::set_enabled(true);
+  obs::Counter& rebuilds =
+      obs::Registry::global().counter("select.ctx.invalidations");
+  const std::uint64_t reference =
+      run_once(4, nullptr, SchedulerConfig{}.journal_capacity);
+  const std::uint64_t rebuilds0 = rebuilds.value();
+  util::ThreadPool two(2);
+  util::ThreadPool four(4);
+  for (int lanes : {1, 2, 4}) {
+    for (util::ThreadPool* pool : {static_cast<util::ThreadPool*>(nullptr),
+                                   &two, &four}) {
+      EXPECT_EQ(run_once(lanes, pool, 4), reference)
+          << "lanes " << lanes << " pool "
+          << (pool ? std::to_string(pool->workers()) : std::string("none"));
+    }
+  }
+  EXPECT_GT(rebuilds.value(), rebuilds0);  // the rebuild path really ran
+  obs::set_enabled(obs_was_on);
 }
 
 TEST(SchedulerService, DrainRestoresSnapshotExactly) {
