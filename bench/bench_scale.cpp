@@ -5,17 +5,11 @@
 // dominated-candidate pruning on vs off, asserting the two produce
 // bit-identical selections. On top of the grid:
 //
-//   * a kernel section timing the scalar flat-arena bottleneck BFS
-//     (topo::bottleneck_row) against the 64-wide batched bitset kernel
-//     (topo::batched_bottleneck_rows) on the largest fat-tree, asserting
-//     the batch is bit-identical row for row;
-//   * a warm_rows thread sweep (1/2/4/... pool workers vs the serial
-//     build), asserting every thread count produces bit-identical rows;
 //   * with --huge, a ~1,000,000-host three-level fat-tree cell (balanced
 //     criterion only) that becomes the headline, plus a pooled-scoring
 //     rerun (SelectionContext::set_pool) asserting the threaded selection
 //     matches the serial one;
-//   * peak-RSS and flat-arena footprint accounting in the JSON record.
+//   * peak-RSS accounting in the JSON record.
 //
 // Headline contract (tracked in BENCH_scale.json and checked in CI):
 // balanced selection on the largest fat-tree in the run, cold,
@@ -28,19 +22,15 @@
 //   --m M            selection size for every cell (the paper's m).
 //   --huge           add the ~1M-host three-level fat-tree cell (balanced
 //                    only; the other criteria stay on the grid sizes).
-//   --threads N      top of the warm_rows sweep (N < 0: one per hardware
-//                    thread, at least 4 so the curve is populated even on
-//                    small CI runners; selection itself is always timed
-//                    single-threaded except the --huge pooled rerun).
+//   --threads N      pool workers for the --huge pooled rerun (N <= 0: 4);
+//                    selection itself is always timed single-threaded.
 //   --check          CI smoke: run a reduced grid once and exit non-zero if
-//                    any pruned selection differs from its unpruned twin,
+//                    any pruned selection differs from its unpruned twin or
 //                    any generator output fails to round-trip through the
-//                    .topo serialiser, the batched kernel differs from the
-//                    scalar one, or threaded warm_rows differs from serial.
-//                    Tables are skipped.
+//                    .topo serialiser. Tables are skipped.
 //   --csv            append the machine-readable grid after the table.
 //   --bench-json P   write the perf record (per-cell timings, headline,
-//                    kernel speedups, thread curve, memory, counters) to P.
+//                    pooled rerun, memory, counters) to P.
 //   --metrics-json P enable the obs registry and write its JSON document
 //                    (schema netsel-metrics-v1) to P after the run.
 //   --chrome-trace P enable the obs registry and write the recorded spans
@@ -68,7 +58,6 @@
 #include "remos/snapshot.hpp"
 #include "select/algorithms.hpp"
 #include "select/context.hpp"
-#include "topo/flat_graph.hpp"
 #include "topo/parse.hpp"
 #include "topo/synthetic.hpp"
 #include "util/thread_pool.hpp"
@@ -194,12 +183,6 @@ bool same_selection(const select::SelectionResult& a,
          a.objective == b.objective && a.iterations == b.iterations;
 }
 
-bool same_row(const topo::BottleneckRow& a, const topo::BottleneckRow& b) {
-  return a.bottleneck == b.bottleneck && a.bottleneck2 == b.bottleneck2 &&
-         a.latency == b.latency && a.reached == b.reached &&
-         a.tree_link == b.tree_link && a.order == b.order;
-}
-
 struct CriterionTiming {
   select::Criterion criterion;
   double cold_seconds = 0.0;   // first call on a fresh context, pruned
@@ -279,156 +262,6 @@ CellResult run_cell(const CaseSpec& spec, std::uint64_t seed, int m,
   return out;
 }
 
-// ------------------------------------------------------------------ kernels
-
-/// Scalar vs 64-wide batched bottleneck BFS, 64 rows each, best of three
-/// timed reps per variant. Three baselines so the ledger is honest about
-/// where time goes on this output-bound workload:
-///   graph_scalar  the seed's object-graph kernel (pre-CSR, pre-arena)
-///   csr_scalar    the kernel warm_rows used before the flat arena
-///   scalar        per-source BFS over the arena (this PR's scalar path)
-/// All scalar variants return rows by value (their API forces a fresh
-/// allocation per row, as the old warm_rows path paid every epoch); the
-/// batched kernel refreshes one preallocated row set in place, which is
-/// exactly how the new warm_rows cache refresh drives it. `identical` is
-/// the in-bench oracle — a false here is a kernel bug, not a perf miss.
-struct KernelResult {
-  std::size_t nodes = 0;
-  std::size_t links = 0;
-  int sources = 0;
-  double arena_build_seconds = 0.0;
-  std::uint64_t arena_bytes = 0;
-  double graph_scalar_seconds = 0.0;
-  double csr_scalar_seconds = 0.0;
-  double scalar_seconds = 0.0;
-  double batched_seconds = 0.0;
-  std::uint64_t passes = 0;
-  std::uint64_t frontier_words = 0;
-  std::uint64_t batched_rows = 0;
-  std::uint64_t scalar_fallback_rows = 0;
-  bool identical = true;
-};
-
-std::vector<topo::NodeId> first_hosts(const topo::TopologyGraph& g,
-                                      std::size_t limit) {
-  std::vector<topo::NodeId> sources;
-  for (std::size_t i = 0; i < g.node_count() && sources.size() < limit; ++i)
-    if (g.is_compute(static_cast<topo::NodeId>(i)))
-      sources.push_back(static_cast<topo::NodeId>(i));
-  return sources;
-}
-
-KernelResult time_kernels(const remos::NetworkSnapshot& snap) {
-  obs::Span span("scale.kernels", "bench");
-  KernelResult r;
-  r.nodes = snap.graph().node_count();
-  r.links = snap.graph().link_count();
-  auto sources = first_hosts(snap.graph(), 64);
-  r.sources = static_cast<int>(sources.size());
-
-  select::SelectionContext ctx(snap);
-  ctx.csr();  // pre-build the shared adjacency: time the arena alone
-  auto t0 = Clock::now();
-  const topo::FlatGraph& g = ctx.flat();
-  r.arena_build_seconds = seconds_since(t0);
-  r.arena_bytes = ctx.arena_bytes();
-
-  constexpr int kReps = 5;
-  const std::vector<double>& bw = ctx.link_bw();
-  const std::vector<double>& bwf = ctx.link_bwfactor();
-  std::vector<topo::BottleneckRow> scalar_rows(sources.size());
-
-  auto best_of = [&](auto&& body) {
-    double best = std::numeric_limits<double>::infinity();
-    for (int rep = 0; rep < kReps; ++rep) {
-      auto t = Clock::now();
-      body();
-      best = std::min(best, seconds_since(t));
-    }
-    return best;
-  };
-
-  r.graph_scalar_seconds = best_of([&] {
-    for (std::size_t i = 0; i < sources.size(); ++i)
-      scalar_rows[i] = topo::bottleneck_row(snap.graph(), sources[i], bw, bwf);
-  });
-  r.csr_scalar_seconds = best_of([&] {
-    for (std::size_t i = 0; i < sources.size(); ++i)
-      scalar_rows[i] = topo::bottleneck_row(ctx.csr(), sources[i], bw, bwf);
-  });
-  r.scalar_seconds = best_of([&] {
-    for (std::size_t i = 0; i < sources.size(); ++i)
-      scalar_rows[i] = topo::bottleneck_row(g, sources[i]);
-  });
-
-  std::vector<topo::BottleneckRow> batched(sources.size());
-  topo::BatchStats st;
-  // One untimed warmup sizes the rows; the timed reps then measure the
-  // steady-state in-place refresh, stats folded in from the last rep only.
-  topo::batched_bottleneck_rows(g, sources, batched, nullptr);
-  r.batched_seconds = best_of([&] {
-    st = topo::BatchStats{};
-    topo::batched_bottleneck_rows(g, sources, batched, &st);
-  });
-  r.passes = st.passes;
-  r.frontier_words = st.frontier_words;
-  r.batched_rows = st.batched_rows;
-  r.scalar_fallback_rows = st.scalar_fallback_rows;
-  for (std::size_t i = 0; i < sources.size(); ++i)
-    if (!same_row(scalar_rows[i], batched[i])) r.identical = false;
-  return r;
-}
-
-// ---------------------------------------------------------- warm_rows sweep
-
-struct SweepPoint {
-  int workers = 0;
-  double seconds = 0.0;
-  bool identical = true;
-};
-
-/// Serial warm_rows baseline plus a worker-count curve, every point checked
-/// bit-identical against the serial rows. Fresh contexts each so all start
-/// cold; csr() prebuilt so the rows alone are timed.
-struct WarmRowsResult {
-  std::size_t nodes = 0;
-  int sources = 0;
-  double serial_seconds = 0.0;
-  std::vector<SweepPoint> curve;
-};
-
-WarmRowsResult time_warm_rows(const remos::NetworkSnapshot& snap,
-                              const std::vector<int>& worker_counts) {
-  obs::Span span("scale.warm_rows", "bench");
-  WarmRowsResult r;
-  r.nodes = snap.graph().node_count();
-  auto sources = first_hosts(snap.graph(), 64);
-  r.sources = static_cast<int>(sources.size());
-  select::SelectionContext serial_ctx(snap);
-  {
-    util::ThreadPool serial(0);
-    serial_ctx.csr();
-    auto t0 = Clock::now();
-    serial_ctx.warm_rows(serial, sources);
-    r.serial_seconds = seconds_since(t0);
-  }
-  for (int w : worker_counts) {
-    util::ThreadPool pool(w);
-    SweepPoint p;
-    p.workers = pool.workers();
-    select::SelectionContext ctx(snap);
-    ctx.csr();
-    auto t0 = Clock::now();
-    ctx.warm_rows(pool, sources);
-    p.seconds = seconds_since(t0);
-    for (topo::NodeId s : sources)
-      if (!same_row(serial_ctx.pair_row(s), ctx.pair_row(s)))
-        p.identical = false;
-    r.curve.push_back(p);
-  }
-  return r;
-}
-
 // ------------------------------------------------------------- pooled rerun
 
 /// Balanced selection on the --huge cell with the context's scoring loops
@@ -469,7 +302,7 @@ PooledSelect time_pooled_select(const CaseSpec& spec, std::uint64_t seed,
   return r;
 }
 
-int run_check(std::uint64_t seed, int m, int threads) {
+int run_check(std::uint64_t seed, int m) {
   int rc = 0;
   auto cases = build_cases(seed, /*reduced=*/true, /*huge=*/false);
   for (const CaseSpec& spec : cases) {
@@ -490,28 +323,6 @@ int run_check(std::uint64_t seed, int m, int threads) {
                      "differs from unpruned\n",
                      spec.family, spec.graph.node_count(),
                      select::criterion_name(t.criterion));
-        rc = 2;
-      }
-    }
-    // Batched bitset BFS must be bit-identical to the scalar kernel, and
-    // pool-threaded warm_rows to the serial build, on every family.
-    remos::NetworkSnapshot snap(spec.graph);
-    remos::apply_synthetic_load(snap, seed + 7);
-    auto kr = time_kernels(snap);
-    if (!kr.identical) {
-      std::fprintf(stderr,
-                   "CHECK FAILED: %s (%zu nodes): batched bottleneck rows "
-                   "differ from scalar\n",
-                   spec.family, spec.graph.node_count());
-      rc = 2;
-    }
-    auto wr = time_warm_rows(snap, {threads > 0 ? threads : 2});
-    for (const SweepPoint& p : wr.curve) {
-      if (!p.identical) {
-        std::fprintf(stderr,
-                     "CHECK FAILED: %s (%zu nodes): warm_rows with %d "
-                     "workers differs from serial\n",
-                     spec.family, spec.graph.node_count(), p.workers);
         rc = 2;
       }
     }
@@ -552,8 +363,7 @@ bool write_obs_exports(const char* metrics_path, const char* trace_path) {
 int write_bench_json(const char* path, std::uint64_t seed, int m, int reps,
                      const std::vector<CellResult>& cells,
                      const CriterionTiming* headline,
-                     const CaseSpec* headline_spec, const KernelResult& kr,
-                     const WarmRowsResult& wr, const PooledSelect* ps) {
+                     const CaseSpec* headline_spec, const PooledSelect* ps) {
   std::FILE* f = std::fopen(path, "w");
   if (!f) {
     std::fprintf(stderr, "cannot open %s for writing\n", path);
@@ -612,58 +422,6 @@ int write_bench_json(const char* path, std::uint64_t seed, int m, int reps,
                  headline_spec->hosts, headline->cold_seconds,
                  headline->cold_seconds < 1.0 ? "true" : "false");
   }
-  std::fprintf(
-      f,
-      "  \"kernels\": {\n"
-      "    \"nodes\": %zu,\n"
-      "    \"links\": %zu,\n"
-      "    \"sources\": %d,\n"
-      "    \"arena_build_seconds\": %.5f,\n"
-      "    \"arena_bytes\": %llu,\n"
-      "    \"graph_scalar_seconds\": %.5f,\n"
-      "    \"csr_scalar_seconds\": %.5f,\n"
-      "    \"scalar_seconds\": %.5f,\n"
-      "    \"batched_seconds\": %.5f,\n"
-      "    \"speedup_vs_graph_scalar\": %.2f,\n"
-      "    \"speedup_vs_csr_scalar\": %.2f,\n"
-      "    \"speedup\": %.2f,\n"
-      "    \"passes\": %llu,\n"
-      "    \"frontier_words\": %llu,\n"
-      "    \"batched_rows\": %llu,\n"
-      "    \"scalar_fallback_rows\": %llu,\n"
-      "    \"identical\": %s\n"
-      "  },\n",
-      kr.nodes, kr.links, kr.sources, kr.arena_build_seconds,
-      static_cast<unsigned long long>(kr.arena_bytes), kr.graph_scalar_seconds,
-      kr.csr_scalar_seconds, kr.scalar_seconds, kr.batched_seconds,
-      kr.batched_seconds > 0.0 ? kr.graph_scalar_seconds / kr.batched_seconds
-                               : 0.0,
-      kr.batched_seconds > 0.0 ? kr.csr_scalar_seconds / kr.batched_seconds
-                               : 0.0,
-      kr.batched_seconds > 0.0 ? kr.scalar_seconds / kr.batched_seconds : 0.0,
-      static_cast<unsigned long long>(kr.passes),
-      static_cast<unsigned long long>(kr.frontier_words),
-      static_cast<unsigned long long>(kr.batched_rows),
-      static_cast<unsigned long long>(kr.scalar_fallback_rows),
-      kr.identical ? "true" : "false");
-  std::fprintf(f,
-               "  \"warm_rows\": {\n"
-               "    \"nodes\": %zu,\n"
-               "    \"sources\": %d,\n"
-               "    \"serial_seconds\": %.5f,\n"
-               "    \"curve\": [\n",
-               wr.nodes, wr.sources, wr.serial_seconds);
-  for (std::size_t i = 0; i < wr.curve.size(); ++i) {
-    const SweepPoint& p = wr.curve[i];
-    std::fprintf(f,
-                 "      { \"workers\": %d, \"seconds\": %.5f, "
-                 "\"speedup\": %.2f, \"identical\": %s }%s\n",
-                 p.workers, p.seconds,
-                 p.seconds > 0.0 ? wr.serial_seconds / p.seconds : 0.0,
-                 p.identical ? "true" : "false",
-                 i + 1 < wr.curve.size() ? "," : "");
-  }
-  std::fprintf(f, "    ]\n  },\n");
   if (ps) {
     std::fprintf(f,
                  "  \"pooled_balanced\": {\n"
@@ -677,32 +435,18 @@ int write_bench_json(const char* path, std::uint64_t seed, int m, int reps,
   }
   std::fprintf(f,
                "  \"memory\": {\n"
-               "    \"peak_rss_bytes\": %llu,\n"
-               "    \"arena_bytes\": %llu\n"
+               "    \"peak_rss_bytes\": %llu\n"
                "  },\n"
                "  \"metrics\": {\n"
                "    \"prune_dropped\": %llu,\n"
-               "    \"ctx_row_misses\": %llu,\n"
-               "    \"ctx_rows_batched\": %llu,\n"
-               "    \"ctx_rows_scalar_fallback\": %llu,\n"
-               "    \"ctx_batch_passes\": %llu,\n"
-               "    \"ctx_batch_frontier_words\": %llu\n"
+               "    \"ctx_row_misses\": %llu\n"
                "  }\n"
                "}\n",
                static_cast<unsigned long long>(peak_rss_bytes()),
-               static_cast<unsigned long long>(kr.arena_bytes),
                static_cast<unsigned long long>(
                    counter_value("select.prune.dropped")),
                static_cast<unsigned long long>(
-                   counter_value("select.ctx.row_misses")),
-               static_cast<unsigned long long>(
-                   counter_value("select.ctx.rows.batched")),
-               static_cast<unsigned long long>(
-                   counter_value("select.ctx.rows.scalar_fallback")),
-               static_cast<unsigned long long>(
-                   counter_value("select.ctx.batch.passes")),
-               static_cast<unsigned long long>(
-                   counter_value("select.ctx.batch.frontier_words")));
+                   counter_value("select.ctx.row_misses")));
   std::fclose(f);
   std::fprintf(stderr, "wrote %s\n", path);
   return 0;
@@ -755,7 +499,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "m must be >= 1\n");
     return 1;
   }
-  if (check) return run_check(seed, m, threads);
+  if (check) return run_check(seed, m);
   if (json_path || metrics_path || trace_path) obs::set_enabled(true);
 
   std::fprintf(stderr, "bench_scale: generating topologies (seed %llu)...\n",
@@ -794,57 +538,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Kernel compare + warm-row thread curve on the largest *two-level*
-  // fat-tree: the 64-source batch there is the cold path warm_rows serves
-  // in production. (The --huge graph is left to the balanced cell — 64
-  // full-graph rows at 1M nodes would time the memory bus, not the kernel.)
-  const CaseSpec* largest_ft = nullptr;
-  for (const CaseSpec& spec : cases)
-    if (std::strcmp(spec.family, "fat_tree") == 0) largest_ft = &spec;
-  KernelResult kr;
-  WarmRowsResult wr;
-  if (largest_ft) {
-    remos::NetworkSnapshot snap(largest_ft->graph);
-    remos::apply_synthetic_load(snap, seed + 7);
-    kr = time_kernels(snap);
-    std::printf(
-        "\nkernels on %zu-node fat-tree, %d rows (best of 5): graph scalar "
-        "%.2f ms, csr scalar %.2f ms, flat scalar %.2f ms, batched %.2f ms "
-        "(%.2fx vs graph, %.2fx vs csr, %.2fx vs flat; %llu passes, "
-        "%llu frontier words, %llu/%d rows batched)%s\n",
-        kr.nodes, kr.sources, kr.graph_scalar_seconds * 1e3,
-        kr.csr_scalar_seconds * 1e3, kr.scalar_seconds * 1e3,
-        kr.batched_seconds * 1e3,
-        kr.batched_seconds > 0.0 ? kr.graph_scalar_seconds / kr.batched_seconds
-                                 : 0.0,
-        kr.batched_seconds > 0.0 ? kr.csr_scalar_seconds / kr.batched_seconds
-                                 : 0.0,
-        kr.batched_seconds > 0.0 ? kr.scalar_seconds / kr.batched_seconds
-                                 : 0.0,
-        static_cast<unsigned long long>(kr.passes),
-        static_cast<unsigned long long>(kr.frontier_words),
-        static_cast<unsigned long long>(kr.batched_rows), kr.sources,
-        kr.identical ? "" : "  IDENTITY FAILED");
-    all_identical = all_identical && kr.identical;
-
-    std::vector<int> worker_counts;
-    const int top =
-        threads > 0 ? threads
-                    : static_cast<int>(
-                          std::max(4u, std::thread::hardware_concurrency()));
-    for (int w = 1; w <= top; w *= 2) worker_counts.push_back(w);
-    wr = time_warm_rows(snap, worker_counts);
-    std::printf("warm_rows on %zu-node fat-tree: %d rows serial %.2f ms\n",
-                wr.nodes, wr.sources, wr.serial_seconds * 1e3);
-    for (const SweepPoint& p : wr.curve) {
-      std::printf("  %2d workers %8.2f ms (%.2fx)%s\n", p.workers,
-                  p.seconds * 1e3,
-                  p.seconds > 0.0 ? wr.serial_seconds / p.seconds : 0.0,
-                  p.identical ? "" : "  IDENTITY FAILED");
-      all_identical = all_identical && p.identical;
-    }
-  }
-
   // Pooled-scoring rerun of the headline balanced selection (--huge only:
   // at grid sizes the fills are under the parallel cut-over anyway).
   PooledSelect ps;
@@ -873,9 +566,8 @@ int main(int argc, char** argv) {
         headline->cold_seconds * 1e3,
         headline->cold_seconds < 1.0 ? "PASS" : "FAIL");
   }
-  std::printf("peak RSS %.1f MiB, flat arena %.1f MiB\n",
-              static_cast<double>(peak_rss_bytes()) / (1024.0 * 1024.0),
-              static_cast<double>(kr.arena_bytes) / (1024.0 * 1024.0));
+  std::printf("peak RSS %.1f MiB\n",
+              static_cast<double>(peak_rss_bytes()) / (1024.0 * 1024.0));
   if (csv) {
     std::printf("\n-- csv --\nfamily,nodes,links,hosts,criterion,cold_s,"
                 "warm_s,unpruned_cold_s,identical\n");
@@ -895,7 +587,7 @@ int main(int argc, char** argv) {
       .set(static_cast<double>(peak_rss_bytes()));
   if (json_path) {
     int rc = write_bench_json(json_path, seed, m, reps, cells, headline,
-                              headline_spec, kr, wr, have_ps ? &ps : nullptr);
+                              headline_spec, have_ps ? &ps : nullptr);
     if (rc != 0) return rc;
   }
   if (!write_obs_exports(metrics_path, trace_path)) return 1;

@@ -3,16 +3,15 @@
 # scalability grid (topology family x node count x criterion, pruned vs
 # unpruned, cold vs warm), and write the perf record to the repo root. The
 # record carries the headline contract — balanced m=64 on a ~1M-host
-# three-level fat-tree, cold, single-threaded, under 1 s — plus the kernel
-# comparison (graph/csr/flat scalar vs 64-wide batched bitset BFS), the
-# warm_rows thread-scaling curve, and peak RSS / arena bytes. The full
-# metrics document and Chrome trace land next to it (metrics_scale.json,
-# trace_scale.json — load the latter in Perfetto).
+# three-level fat-tree, cold, single-threaded, under 1 s — plus a pooled
+# rerun of that selection and the peak RSS. The full metrics document and
+# Chrome trace land next to it (metrics_scale.json, trace_scale.json — load
+# the latter in Perfetto).
 #
 # Usage: scripts/bench_scale_json.sh [reps] [threads]
 #   reps     repetitions per cell after the cold call (default 3)
-#   threads  top of the warm_rows worker sweep (default -1: one per
-#            hardware thread; selection itself is always single-threaded)
+#   threads  workers of the pooled rerun (default -1: bench_scale's
+#            default of 4; the timed selections are single-threaded)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -21,6 +21,12 @@ per benchmark:
     regression we want to catch silently). --tolerance F (default 1.0)
     scales the windows further: min ratios divide by F, max ratios multiply.
 
+The scale headline is the balanced cold time on the largest fat-tree of
+the run, and a CI run is smaller than the committed record. Its ratio guard
+therefore compares like with like: it reads the baseline's cells[] entry
+with the fresh headline's (family, nodes) under the same top-level m, and
+fails when the baseline has no such cell.
+
 Exits non-zero listing every violated rule; prints one line per rule
 otherwise. Missing fields fail loudly — a baseline/bench schema drift must
 not silently disable the gate.
@@ -33,7 +39,8 @@ import sys
 # whenever the baseline's is; "min_ratio" requires fresh/baseline >= limit;
 # "max_ratio" requires fresh/baseline <= limit. Rate fields use ~5x windows
 # (cross-machine), the churn speedup is itself a same-machine ratio so its
-# window is tighter.
+# window is tighter. A path starting with "cell:" is read from the matching
+# scale cell (see scale_cell).
 RULES = {
     "table1": [
         ("identical_stats", "bool_true", None),
@@ -41,7 +48,7 @@ RULES = {
     ],
     "scale": [
         ("headline.within_target", "bool_true", None),
-        ("headline.cold_seconds", "max_ratio", 5.0),
+        ("cell:criteria.balanced.cold_seconds", "max_ratio", 5.0),
     ],
     "churn": [
         ("headline.within_target", "bool_true", None),
@@ -73,15 +80,47 @@ def lookup(doc, path):
     return cur
 
 
+def scale_cell(doc, family, nodes, m):
+    """The cells[] entry of a scale record for (family, nodes) at top-level
+    m, or None."""
+    if doc.get("m") != m:
+        return None
+    for cell in doc.get("cells") or []:
+        if cell.get("family") == family and cell.get("nodes") == nodes:
+            return cell
+    return None
+
+
 def check_one(name, fresh_path, baseline_path, tolerance, failures):
     with open(fresh_path) as f:
         fresh = json.load(f)
     with open(baseline_path) as f:
         baseline = json.load(f)
     for path, kind, limit in RULES[name]:
-        fv = lookup(fresh, path)
-        bv = lookup(baseline, path)
         label = f"{name}:{path}"
+        if path.startswith("cell:"):
+            path = path[len("cell:"):]
+            family = lookup(fresh, "headline.family")
+            nodes = lookup(fresh, "headline.nodes")
+            m = fresh.get("m")
+            fresh_cell = scale_cell(fresh, family, nodes, m)
+            base_cell = scale_cell(baseline, family, nodes, m)
+            label = f"{name}:cells[{family}, {nodes} nodes, m={m}].{path}"
+            if fresh_cell is None:
+                failures.append(f"{label}: fresh headline names no cell")
+                continue
+            if base_cell is None:
+                failures.append(
+                    f"{label}: no matching baseline cell (baseline "
+                    f"m={baseline.get('m')!r}; rerun the fresh bench with "
+                    f"the baseline's --m or regenerate the baseline)"
+                )
+                continue
+            fv = lookup(fresh_cell, path)
+            bv = lookup(base_cell, path)
+        else:
+            fv = lookup(fresh, path)
+            bv = lookup(baseline, path)
         if fv is None or bv is None:
             failures.append(
                 f"{label}: field missing "

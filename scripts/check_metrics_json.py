@@ -62,10 +62,6 @@ PROFILES = {
         "counters": [
             "select.ctx.row_hits",
             "select.ctx.row_misses",
-            "select.ctx.rows.batched",
-            "select.ctx.rows.scalar_fallback",
-            "select.ctx.batch.passes",
-            "select.ctx.batch.frontier_words",
             "select.prune.dropped",
             "select.selections",
             "api.degradation.full",
@@ -79,7 +75,6 @@ PROFILES = {
         ],
         "gauges": [
             "proc.peak_rss_bytes",
-            "select.ctx.arena_bytes",
         ],
     },
     "churn": {

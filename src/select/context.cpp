@@ -71,35 +71,6 @@ obs::Histogram& csr_patch_hist() {
       "select.ctx.csr_patch_s", obs::exp_buckets(1e-7, 4.0, 12));
   return h;
 }
-// Batched-kernel visibility (warm_rows): level-synchronous passes and
-// frontier-mask words sweep-summed across batches, plus how many rows the
-// word-parallel kernel served vs. rebuilt scalar after a discovery-order
-// rejection.
-obs::Counter& batch_passes() {
-  static obs::Counter& c =
-      obs::Registry::global().counter("select.ctx.batch.passes");
-  return c;
-}
-obs::Counter& batch_frontier_words() {
-  static obs::Counter& c =
-      obs::Registry::global().counter("select.ctx.batch.frontier_words");
-  return c;
-}
-obs::Counter& rows_batched() {
-  static obs::Counter& c =
-      obs::Registry::global().counter("select.ctx.rows.batched");
-  return c;
-}
-obs::Counter& rows_scalar_fallback() {
-  static obs::Counter& c =
-      obs::Registry::global().counter("select.ctx.rows.scalar_fallback");
-  return c;
-}
-obs::Gauge& arena_bytes_gauge() {
-  static obs::Gauge& g =
-      obs::Registry::global().gauge("select.ctx.arena_bytes");
-  return g;
-}
 /// Minimum per-chunk work for the pool-parallel scoring fills: below this
 /// the submit overhead beats the loop.
 constexpr std::size_t kScoreChunk = 4096;
@@ -121,11 +92,6 @@ SelectionContext::SelectionContext(const remos::NetworkSnapshot& snap)
   rows_flushes();
   log_pending_gauge();
   csr_patch_hist();
-  batch_passes();
-  batch_frontier_words();
-  rows_batched();
-  rows_scalar_fallback();
-  arena_bytes_gauge();
   // Owned by prune.cpp, but registered here too: the candidate-count
   // short-circuit can mean no selection ever reaches the pruner, and the
   // exported document must still carry the counter at 0.
@@ -171,8 +137,6 @@ void SelectionContext::invalidate_all() const {
   // The unseen deltas may have been structural, so the graph-shaped caches
   // go too.
   csr_.reset();
-  flat_.reset();
-  arena_bytes_gauge().set(0.0);
   acyclic_ = -1;
 }
 
@@ -255,12 +219,6 @@ void SelectionContext::apply_link_bandwidth(topo::LinkId l) const {
     }
   }
   if (!changed) return;
-  // The arena mirrors the weight arrays: a bandwidth delta is a two-double
-  // in-place patch, never a rebuild (the structure sections are untouched).
-  if (flat_) {
-    flat_->set_link_bw(l, snap_->bw(l));
-    flat_->set_link_bwfactor(l, snap_->bwfactor(l));
-  }
   // Row repair is deferred to the row's next read (catch_up_row): log the
   // link, superseding any earlier entry for it.
   const std::size_t links = graph().link_count();
@@ -348,8 +306,7 @@ void SelectionContext::repair_row_values(RowEntry& e, topo::LinkId l) const {
     const auto ipl = static_cast<std::size_t>(pl);
     const auto ip = static_cast<std::size_t>(g.other_end(pl, v));
     row.bottleneck[iv] = std::min(row.bottleneck[ip], bw_[ipl]);
-    if (!row.bottleneck2.empty())
-      row.bottleneck2[iv] = std::min(row.bottleneck2[ip], bwfactor_[ipl]);
+    row.bottleneck2[iv] = std::min(row.bottleneck2[ip], bwfactor_[ipl]);
     for (auto k = adj.row_start[iv]; k < adj.row_start[iv + 1]; ++k) {
       const topo::NodeId w = adj.neighbor[k];
       // w is v's tree child iff the edge that discovered w is this one.
@@ -370,13 +327,11 @@ void SelectionContext::replay_row(RowEntry& e) const {
     const auto il = static_cast<std::size_t>(row.tree_link[iv]);
     const auto ip = static_cast<std::size_t>(g.other_end(row.tree_link[iv], v));
     row.bottleneck[iv] = std::min(row.bottleneck[ip], bw_[il]);
-    if (!row.bottleneck2.empty())
-      row.bottleneck2[iv] = std::min(row.bottleneck2[ip], bwfactor_[il]);
+    row.bottleneck2[iv] = std::min(row.bottleneck2[ip], bwfactor_[il]);
   }
 }
 
 void SelectionContext::apply_node_added(topo::NodeId n) const {
-  flat_.reset();  // structural: the arena's sections no longer fit
   if (csr_) {
     obs::ScopedTimer t(csr_patch_hist());
     csr_->patch_add_node(graph(), n);
@@ -396,7 +351,7 @@ void SelectionContext::apply_node_added(topo::NodeId n) const {
       RowEntry* e = s.get();
       if (!e) continue;
       e->row.bottleneck.push_back(0.0);
-      if (!e->row.bottleneck2.empty()) e->row.bottleneck2.push_back(0.0);
+      e->row.bottleneck2.push_back(0.0);
       e->row.latency.push_back(0.0);
       e->row.reached.push_back(0);
       e->row.tree_link.push_back(topo::kInvalidLink);
@@ -411,7 +366,6 @@ void SelectionContext::apply_node_removed(topo::NodeId n) const {
   // incident link has already been removed (and the rows those removals
   // touched dropped): no built row reaches n except n's own singleton row,
   // which a rebuild reproduces unchanged. Only the compute flag flips.
-  flat_.reset();  // the arena carries is_compute
   if (csr_) {
     obs::ScopedTimer t(csr_patch_hist());
     csr_->patch_remove_node(n);
@@ -425,7 +379,6 @@ void SelectionContext::apply_node_removed(topo::NodeId n) const {
 
 void SelectionContext::apply_link_added(topo::LinkId l) const {
   const auto il = static_cast<std::size_t>(l);
-  flat_.reset();
   if (csr_) {
     obs::ScopedTimer t(csr_patch_hist());
     csr_->patch_add_link(graph(), l);
@@ -462,7 +415,6 @@ void SelectionContext::apply_link_added(topo::LinkId l) const {
 
 void SelectionContext::apply_link_removed(topo::LinkId l) const {
   const auto il = static_cast<std::size_t>(l);
-  flat_.reset();
   if (csr_) {
     obs::ScopedTimer t(csr_patch_hist());
     csr_->patch_remove_link(graph(), l);
@@ -508,17 +460,6 @@ const topo::CsrAdjacency& SelectionContext::csr() const {
   return *csr_;
 }
 
-const topo::FlatGraph& SelectionContext::flat() const {
-  const auto& bw = link_bw();
-  const auto& f = link_bwfactor();
-  if (!flat_) {
-    flat_ = std::make_unique<topo::FlatGraph>(
-        topo::FlatGraph::build(csr(), bw, f));
-    arena_bytes_gauge().set(static_cast<double>(flat_->arena_bytes()));
-  }
-  return *flat_;
-}
-
 const std::vector<double>& SelectionContext::link_bw() const {
   revalidate();
   if (!bw_valid_) {
@@ -543,7 +484,9 @@ const std::vector<double>& SelectionContext::link_bwfactor() const {
 
 void SelectionContext::sync() const {
   (void)acyclic();
-  (void)flat();  // also the CSR and both weight arrays
+  (void)csr();
+  (void)link_bw();
+  (void)link_bwfactor();
   (void)links_by_bw();
   (void)links_by_fraction(SelectionOptions{});  // the bwfactor order
   (void)base_components();
@@ -645,8 +588,8 @@ void SelectionContext::new_row_entry(RowSlot& slot,
 
 const topo::BottleneckRow& SelectionContext::pair_row(topo::NodeId src) const {
   // link_bw()/link_bwfactor() revalidate; rows_ is maintained alongside.
-  (void)link_bw();
-  (void)link_bwfactor();
+  const auto& bw = link_bw();
+  const auto& f = link_bwfactor();
   ensure_row_slots();
   const auto i = static_cast<std::size_t>(src);
   RowSlot& slot = rows_[i];
@@ -663,46 +606,8 @@ const topo::BottleneckRow& SelectionContext::pair_row(topo::NodeId src) const {
     return e->row;
   }
   row_misses().inc();
-  new_row_entry(slot, topo::bottleneck_row(flat(), src));
+  new_row_entry(slot, topo::bottleneck_row(csr(), src, bw, f));
   return slot.get()->row;
-}
-
-void SelectionContext::warm_rows(
-    util::ThreadPool& pool, const std::vector<topo::NodeId>& sources) const {
-  const topo::FlatGraph& g = flat();
-  ensure_row_slots();
-  std::vector<char> queued(graph().node_count(), 0);
-  std::vector<topo::NodeId> todo;
-  for (topo::NodeId src : sources) {
-    const auto i = static_cast<std::size_t>(src);
-    if (rows_[i].get() || queued[i]) continue;
-    queued[i] = 1;
-    todo.push_back(src);
-  }
-  if (todo.empty()) return;
-  row_misses().inc(todo.size());
-  // 64-wide batches, each one multi-source bitset BFS; the batches fan out
-  // over the pool. Each task writes only its own pre-sized slots and the
-  // batch boundaries are fixed by `todo` order, so any thread count — and
-  // the zero-worker serial mode — produces identical rows (the kernel
-  // itself is bit-identical to the scalar one per its contract).
-  const std::size_t batches = (todo.size() + 63) / 64;
-  util::parallel_for(pool, batches, [&](std::size_t bi) {
-    const std::size_t lo = bi * 64;
-    const std::size_t W = std::min<std::size_t>(64, todo.size() - lo);
-    std::vector<topo::BottleneckRow> rows(W);
-    topo::BatchStats st;
-    topo::batched_bottleneck_rows(
-        g, std::span<const topo::NodeId>(todo).subspan(lo, W),
-        std::span<topo::BottleneckRow>(rows), &st);
-    for (std::size_t k = 0; k < W; ++k)
-      new_row_entry(rows_[static_cast<std::size_t>(todo[lo + k])],
-                    std::move(rows[k]));
-    batch_passes().inc(st.passes);
-    batch_frontier_words().inc(st.frontier_words);
-    rows_batched().inc(st.batched_rows);
-    rows_scalar_fallback().inc(st.scalar_fallback_rows);
-  });
 }
 
 std::vector<char> SelectionContext::eligibility(

@@ -33,7 +33,7 @@
 //     cpu rankings are per-call state);
 //   - a link-bandwidth delta repositions the link inside the cached
 //     deletion orders (binary erase + sorted reinsert, identical to a
-//     re-sort), patches the arena's weights, and appends the link to a
+//     re-sort), patches the two weight arrays, and appends the link to a
 //     changed-link log. Row repair is *deferred*: pair_row() replays the
 //     log entries a row has not seen and repairs the row in place for the
 //     tree links among them. The BFS tree is weight-independent and a
@@ -54,15 +54,19 @@
 // falls back to the historical behaviour: drop every cache. The referenced
 // snapshot (and its graph) must outlive the context.
 //
+// The hot path reads one graph: csr() plus the context's two per-link
+// weight arrays (link_bw(), link_bwfactor()). Every row is built by
+// topo::bottleneck_row over them.
+//
 // Threading: catch-up mutates the caches, so it is serial — while the
 // snapshot is being mutated or the context is behind it, one thread at a
 // time. After sync() has caught up and built every shared cache, and until
 // the snapshot next mutates, any number of threads may call the const
-// accessors other than sync() and warm_rows() (and select_nodes /
-// evaluate_set over them) concurrently: the
-// only remaining lazy state is the bottleneck rows, which are built and
-// repaired under a per-row striped lock and published atomically. A row
-// that is already current is read without taking any lock.
+// accessors other than sync() (and select_nodes / evaluate_set over them)
+// concurrently: the only remaining lazy state is the bottleneck rows, which
+// are built and repaired under a per-row striped lock and published
+// atomically. A row that is already current is read without taking any
+// lock.
 
 #include <array>
 #include <atomic>
@@ -74,7 +78,6 @@
 #include "remos/snapshot.hpp"
 #include "select/options.hpp"
 #include "topo/connectivity.hpp"
-#include "topo/flat_graph.hpp"
 #include "topo/graph.hpp"
 
 namespace netsel::util {
@@ -97,7 +100,7 @@ class SelectionContext {
   /// (re)built. Accessors below revalidate automatically.
   bool current() const { return epoch_ == snap_->epoch(); }
 
-  /// Catch up with the snapshot and build every shared cache (CSR, arena,
+  /// Catch up with the snapshot and build every shared cache (CSR, both
   /// weight arrays, both deletion orders, base components, acyclicity, row
   /// slots). Until the snapshot next mutates, the const accessors may then
   /// run on many threads at once (see the threading note above); the
@@ -108,20 +111,11 @@ class SelectionContext {
   bool acyclic() const;
 
   /// Cached flat CSR view of the topology: the adjacency the component and
-  /// bottleneck kernels below run on. Built once, then *patched in place*
+  /// bottleneck kernels run on. Built once, then *patched in place*
   /// under structural deltas (host/link add/remove) instead of rebuilt.
   /// Preserves links_of() order, so BFS trees — and hence every bottleneck
   /// value — are bit-identical to the TopologyGraph kernels.
   const topo::CsrAdjacency& csr() const;
-
-  /// Cached single-allocation arena view (CSR structure + both weight
-  /// arrays + compute flags) — the layout the hot BFS kernels run on. Built
-  /// lazily from csr()/link_bw()/link_bwfactor(); a link-bandwidth delta
-  /// patches its weight sections in place, structural deltas drop it (lazy
-  /// rebuild). Bit-identical traversals: same half-edge order as csr().
-  const topo::FlatGraph& flat() const;
-  /// Bytes of the flat() arena, 0 while not built (footprint accounting).
-  std::size_t arena_bytes() const { return flat_ ? flat_->arena_bytes() : 0; }
 
   /// Optional worker pool for the per-call scoring loops (eligibility and
   /// the selectors' per-link/per-node key fills). Null (the default) keeps
@@ -132,7 +126,7 @@ class SelectionContext {
   util::ThreadPool* pool() const { return pool_; }
 
   /// Available bandwidth per link, copied out of the snapshot (dense, for
-  /// the kernels below).
+  /// the row kernel and the deletion orders).
   const std::vector<double>& link_bw() const;
   /// Fraction-of-peak (bwfactor) per link.
   const std::vector<double>& link_bwfactor() const;
@@ -175,19 +169,6 @@ class SelectionContext {
   /// Per-node eligibility under `opt` (compute, mask, min-cpu, memory).
   /// Options-dependent, so computed per call — O(V), not cached.
   std::vector<char> eligibility(const SelectionOptions& opt) const;
-
-  /// Build the pair_row() cache entries for `sources` on a thread pool
-  /// (duplicates and already-built rows are skipped; each build counts as a
-  /// row miss). The missing sources are grouped into 64-wide batches, each
-  /// served by one multi-source bitset BFS over flat()
-  /// (topo::batched_bottleneck_rows — bit-identical to the scalar kernel,
-  /// with transparent scalar fallback), and the batches fan out over the
-  /// pool. Safe because every row lands in its own pre-sized slot; no other
-  /// accessor may run concurrently — warm, then query. A zero-worker pool
-  /// degenerates to the serial batch order; results are identical at any
-  /// thread count.
-  void warm_rows(util::ThreadPool& pool,
-                 const std::vector<topo::NodeId>& sources) const;
 
  private:
   /// A cached bottleneck row plus the per-link membership mask of its BFS
@@ -253,7 +234,6 @@ class SelectionContext {
   util::ThreadPool* pool_ = nullptr;
   mutable int acyclic_ = -1;  // tri-state: unknown / no / yes
   mutable std::unique_ptr<topo::CsrAdjacency> csr_;
-  mutable std::unique_ptr<topo::FlatGraph> flat_;
   mutable std::vector<double> bw_;
   mutable std::vector<double> bwfactor_;
   mutable std::vector<topo::LinkId> by_bw_;

@@ -51,7 +51,7 @@ SelectionResult select_max_compute(const SelectionContext& ctx,
   const topo::Components* comps;
   topo::Components local;
   if (opt.min_bw_bps > 0.0) {
-    local = topo::connected_components(snap.graph(), mask);
+    local = topo::connected_components(ctx.csr(), mask);
     comps = &local;
   } else {
     comps = &ctx.base_components();

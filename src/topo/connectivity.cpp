@@ -220,17 +220,17 @@ BottleneckRow bottleneck_row(const TopologyGraph& g, NodeId src,
                              std::span<const double> weight2) {
   if (weight.size() != g.link_count())
     throw std::invalid_argument("bottleneck_row: weight size mismatch");
-  if (!weight2.empty() && weight2.size() != g.link_count())
+  if (weight2.size() != g.link_count())
     throw std::invalid_argument("bottleneck_row: weight2 size mismatch");
   constexpr double kInf = std::numeric_limits<double>::infinity();
   const std::size_t n = g.node_count();
   BottleneckRow row;
   row.bottleneck.assign(n, 0.0);
-  if (!weight2.empty()) row.bottleneck2.assign(n, 0.0);
+  row.bottleneck2.assign(n, 0.0);
   row.latency.assign(n, 0.0);
   row.reached.assign(n, 0);
   row.bottleneck[static_cast<std::size_t>(src)] = kInf;
-  if (!weight2.empty()) row.bottleneck2[static_cast<std::size_t>(src)] = kInf;
+  row.bottleneck2[static_cast<std::size_t>(src)] = kInf;
   row.reached[static_cast<std::size_t>(src)] = 1;
   row.tree_link.assign(n, kInvalidLink);
   row.order.reserve(n);
@@ -253,8 +253,7 @@ BottleneckRow bottleneck_row(const TopologyGraph& g, NodeId src,
       row.tree_link[iv] = l;
       row.order.push_back(v);
       row.bottleneck[iv] = std::min(row.bottleneck[iu], weight[il]);
-      if (!weight2.empty())
-        row.bottleneck2[iv] = std::min(row.bottleneck2[iu], weight2[il]);
+      row.bottleneck2[iv] = std::min(row.bottleneck2[iu], weight2[il]);
       row.latency[iv] = row.latency[iu] + g.link(l).latency;
       q.push(v);
     }
@@ -267,17 +266,17 @@ BottleneckRow bottleneck_row(const CsrAdjacency& adj, NodeId src,
                              std::span<const double> weight2) {
   if (weight.size() != adj.link_count())
     throw std::invalid_argument("bottleneck_row: weight size mismatch");
-  if (!weight2.empty() && weight2.size() != adj.link_count())
+  if (weight2.size() != adj.link_count())
     throw std::invalid_argument("bottleneck_row: weight2 size mismatch");
   constexpr double kInf = std::numeric_limits<double>::infinity();
   const std::size_t n = adj.node_count();
   BottleneckRow row;
   row.bottleneck.assign(n, 0.0);
-  if (!weight2.empty()) row.bottleneck2.assign(n, 0.0);
+  row.bottleneck2.assign(n, 0.0);
   row.latency.assign(n, 0.0);
   row.reached.assign(n, 0);
   row.bottleneck[static_cast<std::size_t>(src)] = kInf;
-  if (!weight2.empty()) row.bottleneck2[static_cast<std::size_t>(src)] = kInf;
+  row.bottleneck2[static_cast<std::size_t>(src)] = kInf;
   row.reached[static_cast<std::size_t>(src)] = 1;
   row.tree_link.assign(n, kInvalidLink);
   // Flat FIFO frontier: a node enters at most once, so a vector with a read
@@ -297,8 +296,7 @@ BottleneckRow bottleneck_row(const CsrAdjacency& adj, NodeId src,
       const auto il = static_cast<std::size_t>(adj.via[e]);
       row.tree_link[iv] = adj.via[e];
       row.bottleneck[iv] = std::min(row.bottleneck[iu], weight[il]);
-      if (!weight2.empty())
-        row.bottleneck2[iv] = std::min(row.bottleneck2[iu], weight2[il]);
+      row.bottleneck2[iv] = std::min(row.bottleneck2[iu], weight2[il]);
       row.latency[iv] = row.latency[iu] + adj.link_latency[il];
       fifo.push_back(adj.neighbor[e]);
     }

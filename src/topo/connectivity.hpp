@@ -14,6 +14,10 @@
 //     deterministic BFS tree (on acyclic graphs: the unique path, hence the
 //     true widest path). This is the cached kernel behind the pairwise
 //     min-bandwidth objective.
+//   - CsrAdjacency: the one adjacency the selection hot path reads. The
+//     CSR overloads of connected_components and bottleneck_row are the
+//     production kernels; the TopologyGraph overloads are the literal
+//     versions the reference selectors and the tests compare against.
 
 #include <span>
 #include <vector>
@@ -134,13 +138,14 @@ class EligibleUnionFind {
 /// Per-source bottleneck values along the deterministic BFS tree of `g`
 /// (FIFO queue, links_of() order — the exact tie-break used by static
 /// routing and by the pairwise set evaluation). `weight` and `weight2` give
-/// per-link widths; the row carries, for every destination, the minimum
-/// weight along the tree path, the sum of link latencies, and reachability.
+/// two per-link widths (one entry per link id each); the row carries, for
+/// every destination, the minimum of each weight along the tree path, the
+/// sum of link latencies, and reachability.
 /// On acyclic graphs the BFS path is the unique path, so the bottleneck
 /// equals the widest-path (max-bottleneck) value.
 struct BottleneckRow {
   std::vector<double> bottleneck;   ///< min weight along path; src = +inf
-  std::vector<double> bottleneck2;  ///< same for weight2 (empty if not given)
+  std::vector<double> bottleneck2;  ///< same for weight2
   std::vector<double> latency;      ///< summed link latency along path
   std::vector<char> reached;        ///< 0 for nodes in other components
   /// BFS-tree structure, recorded so a weight-only change can be replayed
@@ -155,13 +160,13 @@ struct BottleneckRow {
 
 BottleneckRow bottleneck_row(const TopologyGraph& g, NodeId src,
                              std::span<const double> weight,
-                             std::span<const double> weight2 = {});
+                             std::span<const double> weight2);
 
 /// CSR-backed bottleneck_row: same BFS tree (CSR preserves links_of order),
-/// same values, no per-edge Link lookups. This is the kernel the
-/// SelectionContext row cache runs at scale.
+/// same values, no per-edge Link lookups. This is the only kernel the
+/// SelectionContext row cache runs.
 BottleneckRow bottleneck_row(const CsrAdjacency& adj, NodeId src,
                              std::span<const double> weight,
-                             std::span<const double> weight2 = {});
+                             std::span<const double> weight2);
 
 }  // namespace netsel::topo

@@ -475,7 +475,10 @@ TEST(IncrementalOracle, WarmedRowsStayConsistentAcrossDeltas) {
   auto inst = family_instance(0, 3);
   util::ThreadPool pool(2);
   select::SelectionContext ctx(*inst.snap);
-  ctx.warm_rows(pool, present_computes(*inst.graph));
+  ctx.sync();
+  const auto hosts = present_computes(*inst.graph);
+  util::parallel_for(pool, hosts.size(),
+                     [&](std::size_t i) { (void)ctx.pair_row(hosts[i]); });
   auto links = present_links(*inst.graph);
   inst.snap->set_bw(links[1], 0.5 * inst.snap->maxbw(links[1]));
   inst.snap->set_bw(links[3], 0.25 * inst.snap->maxbw(links[3]));
