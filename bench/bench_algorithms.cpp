@@ -5,14 +5,25 @@
 // scaling over generated topologies from 16 to 4096 nodes and measure the
 // O(n) max-compute selection and the exact brute-force reference for
 // context.
+//
+// The SelectionContext layer too: a context build, cached rows on repeated
+// evaluate_set queries, and the Fig. 2 / Fig. 3 replays against the naive
+// reference loops (select/reference.hpp) that recompute connectivity after
+// every link deletion — BM_Fig2_Naive vs BM_Fig2_Context (and the Fig. 3
+// pair) at >= 200 compute nodes is the headline comparison.
 
 #include <benchmark/benchmark.h>
 
 #include <memory>
 
+#include "remos/snapshot.hpp"
 #include "select/algorithms.hpp"
 #include "select/brute_force.hpp"
+#include "select/context.hpp"
+#include "select/objective.hpp"
+#include "select/reference.hpp"
 #include "topo/generators.hpp"
+#include "util/rng.hpp"
 
 using namespace netsel;
 
@@ -134,6 +145,102 @@ void BM_Fig4TestbedSelection(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Fig4TestbedSelection);
+
+// ------------------------------------------------- SelectionContext layer
+
+select::SelectionOptions options_for(int m) {
+  select::SelectionOptions opt;
+  opt.num_nodes = m;
+  return opt;
+}
+
+void BM_ContextBuild(benchmark::State& state) {
+  auto inst = make_instance(static_cast<int>(state.range(0)), 11);
+  for (auto _ : state) {
+    select::SelectionContext ctx(*inst.snap);
+    benchmark::DoNotOptimize(ctx.links_by_bw().size());
+  }
+}
+BENCHMARK(BM_ContextBuild)->Range(64, 1024);
+
+void BM_Fig2_Naive(benchmark::State& state) {
+  auto inst = make_instance(static_cast<int>(state.range(0)), 11);
+  auto opt = options_for(8);
+  for (auto _ : state) {
+    auto r = select::detail::reference_select_max_bandwidth(*inst.snap, opt);
+    benchmark::DoNotOptimize(r.objective);
+  }
+}
+BENCHMARK(BM_Fig2_Naive)->Range(64, 1024)->Unit(benchmark::kMillisecond);
+
+void BM_Fig2_Context(benchmark::State& state) {
+  auto inst = make_instance(static_cast<int>(state.range(0)), 11);
+  auto opt = options_for(8);
+  select::SelectionContext ctx(*inst.snap);
+  for (auto _ : state) {
+    auto r = select::select_max_bandwidth(ctx, opt);
+    benchmark::DoNotOptimize(r.objective);
+  }
+}
+BENCHMARK(BM_Fig2_Context)->Range(64, 1024)->Unit(benchmark::kMillisecond);
+
+void BM_Fig3_Naive(benchmark::State& state) {
+  auto inst = make_instance(static_cast<int>(state.range(0)), 11);
+  auto opt = options_for(8);
+  for (auto _ : state) {
+    auto r = select::detail::reference_select_balanced(*inst.snap, opt);
+    benchmark::DoNotOptimize(r.objective);
+  }
+}
+BENCHMARK(BM_Fig3_Naive)->Range(64, 1024)->Unit(benchmark::kMillisecond);
+
+void BM_Fig3_Context(benchmark::State& state) {
+  auto inst = make_instance(static_cast<int>(state.range(0)), 11);
+  auto opt = options_for(8);
+  select::SelectionContext ctx(*inst.snap);
+  for (auto _ : state) {
+    auto r = select::select_balanced(ctx, opt);
+    benchmark::DoNotOptimize(r.objective);
+  }
+}
+BENCHMARK(BM_Fig3_Context)->Range(64, 1024)->Unit(benchmark::kMillisecond);
+
+// evaluate_set over one shared context (rows cached across calls) vs the
+// naive per-call BFS. Evaluates many distinct subsets, the way the API
+// service evaluates several placement groups against one snapshot.
+void BM_EvaluateSet_Naive(benchmark::State& state) {
+  auto inst = make_instance(static_cast<int>(state.range(0)), 13);
+  auto computes = inst.graph->compute_nodes();
+  for (auto _ : state) {
+    double acc = 0.0;
+    for (std::size_t i = 0; i + 4 < computes.size(); i += 4) {
+      std::vector<topo::NodeId> nodes(computes.begin() + i,
+                                      computes.begin() + i + 4);
+      acc += select::detail::reference_evaluate_set(*inst.snap, nodes)
+                 .min_pair_bw;
+    }
+    benchmark::DoNotOptimize(acc);
+  }
+}
+BENCHMARK(BM_EvaluateSet_Naive)->Range(64, 512)->Unit(benchmark::kMillisecond);
+
+void BM_EvaluateSet_Context(benchmark::State& state) {
+  auto inst = make_instance(static_cast<int>(state.range(0)), 13);
+  auto computes = inst.graph->compute_nodes();
+  select::SelectionContext ctx(*inst.snap);
+  for (auto _ : state) {
+    double acc = 0.0;
+    for (std::size_t i = 0; i + 4 < computes.size(); i += 4) {
+      std::vector<topo::NodeId> nodes(computes.begin() + i,
+                                      computes.begin() + i + 4);
+      acc += select::evaluate_set(ctx, nodes).min_pair_bw;
+    }
+    benchmark::DoNotOptimize(acc);
+  }
+}
+BENCHMARK(BM_EvaluateSet_Context)
+    ->Range(64, 512)
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

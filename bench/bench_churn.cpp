@@ -20,9 +20,7 @@
 // >= 10x warm-path speedup for single-link bandwidth deltas vs. full
 // epoch invalidation on the 10,000-host fat-tree.
 //
-// Usage: bench_churn [reps] [seed] [--csv] [--check] [--threads N]
-//                    [--bench-json PATH] [--metrics-json PATH]
-//                    [--chrome-trace PATH]
+// Usage: bench_churn [reps] [seed] [flags]
 // Defaults: 3 reps (the delta stream is 20*reps deltas long), seed 4242.
 //   --check          CI smoke: a small fat-tree, a mixed delta stream with
 //                    structural mutations, asserting the warm context stays
@@ -31,24 +29,18 @@
 //   --csv            append the machine-readable records after the tables.
 //   --bench-json P   write the perf record (warm/cold means, headline,
 //                    budget curve, delta counters) to P.
-//   --metrics-json P enable the obs registry and write its JSON document to
-//                    P after the run.
-//   --chrome-trace P enable the obs registry and write recorded spans as
-//                    Chrome trace_event JSON to P.
+//   --metrics-json P, --chrome-trace P  write the obs metrics document /
+//                    the Chrome trace of the run (bench/harness.hpp).
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "api/reselect.hpp"
 #include "api/service.hpp"
-#include "obs/export.hpp"
+#include "harness.hpp"
 #include "obs/metrics.hpp"
 #include "remos/snapshot.hpp"
 #include "select/algorithms.hpp"
@@ -60,20 +52,11 @@
 namespace {
 
 using namespace netsel;
-using Clock = std::chrono::steady_clock;
+using bench::Clock;
+using bench::seconds_since;
 
 /// Reselection cadence assumed when converting a step count to wall time.
 constexpr double kStepSeconds = 30.0;
-
-double seconds_since(Clock::time_point t0) {
-  return std::chrono::duration<double>(Clock::now() - t0).count();
-}
-
-std::uint64_t counter_value(const char* name) {
-  for (const auto& [n, v] : obs::Registry::global().counters())
-    if (n == name) return v;
-  return 0;
-}
 
 std::vector<topo::LinkId> usable_links(const topo::TopologyGraph& g) {
   std::vector<topo::LinkId> out;
@@ -83,12 +66,11 @@ std::vector<topo::LinkId> usable_links(const topo::TopologyGraph& g) {
   return out;
 }
 
-std::vector<topo::NodeId> compute_hosts(const topo::TopologyGraph& g) {
-  std::vector<topo::NodeId> out;
-  for (std::size_t i = 0; i < g.node_count(); ++i)
-    if (g.is_compute(static_cast<topo::NodeId>(i)))
-      out.push_back(static_cast<topo::NodeId>(i));
-  return out;
+/// A uniformly drawn element of `pool`.
+template <typename T>
+T pick(util::Rng& rng, const std::vector<T>& pool) {
+  return pool[static_cast<std::size_t>(
+      rng.uniform_int(0, static_cast<std::int64_t>(pool.size()) - 1))];
 }
 
 bool same_evaluation(const select::SetEvaluation& a,
@@ -128,18 +110,16 @@ PhaseResult run_delta_phase(remos::NetworkSnapshot& snap,
   span.arg("class",
            cls == DeltaClass::LinkBandwidth ? "link_bw" : "node_load");
   const auto links = usable_links(snap.graph());
-  const auto hosts = compute_hosts(snap.graph());
+  const auto hosts = snap.graph().compute_nodes();
   PhaseResult out;
   out.deltas = count;
   double warm_total = 0.0, cold_total = 0.0;
   for (int i = 0; i < count; ++i) {
     if (cls == DeltaClass::LinkBandwidth) {
-      const auto l = links[static_cast<std::size_t>(rng.uniform_int(
-          0, static_cast<std::int64_t>(links.size()) - 1))];
+      const auto l = pick(rng, links);
       snap.set_bw(l, rng.uniform(0.05, 1.0) * snap.maxbw(l));
     } else {
-      const auto n = hosts[static_cast<std::size_t>(rng.uniform_int(
-          0, static_cast<std::int64_t>(hosts.size()) - 1))];
+      const auto n = pick(rng, hosts);
       snap.set_loadavg(n, rng.uniform(0.0, 4.0));
     }
     select::SetEvaluation warm_ev, cold_ev;
@@ -218,19 +198,16 @@ BudgetPoint run_budget_curve(const topo::TopologyGraph& g, std::uint64_t seed,
     if (!g.is_compute(g.link(l).a) && !g.is_compute(g.link(l).b))
       trunks.push_back(l);
   util::Rng rng(seed ^ 0xC0FFEEull);
-  auto pick = [&](const std::vector<topo::LinkId>& pool) {
-    return pool[static_cast<std::size_t>(
-        rng.uniform_int(0, static_cast<std::int64_t>(pool.size()) - 1))];
-  };
   BudgetPoint out;
   out.budget = budget;
   out.steps = steps;
   for (int step = 0; step < steps; ++step) {
     for (int d = 0; d < deltas_per_step; ++d) {
       const double roll = rng.uniform(0.0, 1.0);
-      const topo::LinkId l = roll < 0.4 && !hot.empty()   ? pick(hot)
-                             : roll < 0.7 && !trunks.empty() ? pick(trunks)
-                                                             : pick(links);
+      const topo::LinkId l =
+          roll < 0.4 && !hot.empty()      ? pick(rng, hot)
+          : roll < 0.7 && !trunks.empty() ? pick(rng, trunks)
+                                          : pick(rng, links);
       snap.set_bw(l, rng.uniform(0.02, 1.0) * snap.maxbw(l));
     }
     api::ReselectOptions ropt;
@@ -278,29 +255,21 @@ int run_check(std::uint64_t seed, int m) {
     // A mixed stream: mostly sensor deltas, some structural churn.
     const double roll = rng.uniform(0.0, 1.0);
     if (roll < 0.55) {
-      const auto links = usable_links(g);
-      const auto l = links[static_cast<std::size_t>(rng.uniform_int(
-          0, static_cast<std::int64_t>(links.size()) - 1))];
+      const auto l = pick(rng, usable_links(g));
       snap.set_bw(l, rng.uniform(0.05, 1.0) * snap.maxbw(l));
     } else if (roll < 0.75) {
-      const auto hosts = compute_hosts(g);
-      snap.set_loadavg(hosts[static_cast<std::size_t>(rng.uniform_int(
-                           0, static_cast<std::int64_t>(hosts.size()) - 1))],
-                       rng.uniform(0.0, 4.0));
+      snap.set_loadavg(pick(rng, g.compute_nodes()), rng.uniform(0.0, 4.0));
     } else if (roll < 0.85) {
       const auto links = usable_links(g);
       if (links.size() > 32) {
-        const auto l = links[static_cast<std::size_t>(rng.uniform_int(
-            0, static_cast<std::int64_t>(links.size()) - 1))];
+        const auto l = pick(rng, links);
         g.remove_link(l);
         snap.notify_link_removed(l);
       }
     } else if (roll < 0.95) {
-      const auto hosts = compute_hosts(g);
-      const auto a = hosts[static_cast<std::size_t>(rng.uniform_int(
-          0, static_cast<std::int64_t>(hosts.size()) - 1))];
-      const auto b = hosts[static_cast<std::size_t>(rng.uniform_int(
-          0, static_cast<std::int64_t>(hosts.size()) - 1))];
+      const auto hosts = g.compute_nodes();
+      const auto a = pick(rng, hosts);
+      const auto b = pick(rng, hosts);
       if (a != b) {
         const auto id = g.add_link(a, b, 50.0 * topo::kMbps);
         snap.notify_link_added(id);
@@ -347,7 +316,7 @@ int run_check(std::uint64_t seed, int m) {
   if (rc == 0) {
     select::SelectionContext ctx(snap);
     auto cur = select::select_nodes(select::Criterion::Balanced, ctx, opt);
-    const auto hosts = compute_hosts(g);
+    const auto hosts = g.compute_nodes();
     std::vector<topo::NodeId> bad(hosts.end() - m, hosts.end());
     for (int budget : {0, 1, 4}) {
       api::ReselectOptions ropt;
@@ -387,106 +356,53 @@ int write_bench_json(const char* path, std::uint64_t seed, int m, int hosts,
                      std::size_t nodes, std::size_t link_count,
                      const PhaseResult& bw, const PhaseResult& load,
                      const std::vector<BudgetPoint>& curve) {
-  std::FILE* f = std::fopen(path, "w");
-  if (!f) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path);
-    return 1;
-  }
-  std::fprintf(f,
-               "{\n"
-               "  \"benchmark\": \"churn\",\n"
-               "  \"hardware_threads\": %u,\n"
-               "  \"seed\": %llu,\n"
-               "  \"m\": %d,\n"
-               "  \"nodes\": %zu,\n"
-               "  \"links\": %zu,\n"
-               "  \"hosts\": %d,\n"
-               "  \"step_seconds\": %.0f,\n",
-               std::thread::hardware_concurrency(),
-               static_cast<unsigned long long>(seed), m, nodes, link_count,
-               hosts, kStepSeconds);
-  auto phase = [&](const char* name, const PhaseResult& p, bool comma) {
-    std::fprintf(f,
-                 "  \"%s\": {\n"
-                 "    \"deltas\": %d,\n"
-                 "    \"warm_mean_seconds\": %.6f,\n"
-                 "    \"cold_mean_seconds\": %.6f,\n"
-                 "    \"speedup\": %.2f,\n"
-                 "    \"identical\": %s\n"
-                 "  }%s\n",
-                 name, p.deltas, p.warm_mean_seconds, p.cold_mean_seconds,
-                 p.speedup(), p.identical ? "true" : "false",
-                 comma ? "," : "");
+  bench::JsonWriter w(path, "churn");
+  w.field("seed", seed)
+      .field("m", m)
+      .field("nodes", nodes)
+      .field("links", link_count)
+      .field("hosts", hosts)
+      .field("step_seconds", kStepSeconds, "%.0f");
+  auto phase = [&](const char* name, const PhaseResult& p) {
+    w.object(name)
+        .field("deltas", p.deltas)
+        .field("warm_mean_seconds", p.warm_mean_seconds, "%.6f")
+        .field("cold_mean_seconds", p.cold_mean_seconds, "%.6f")
+        .field("speedup", p.speedup(), "%.2f")
+        .field("identical", p.identical)
+        .end();
   };
-  phase("link_bandwidth_deltas", bw, true);
-  phase("node_load_deltas", load, true);
-  std::fprintf(f,
-               "  \"headline\": {\n"
-               "    \"contract\": \"warm evaluation after a single-link "
-               "bandwidth delta >= 10x faster than full epoch invalidation, "
-               "10k-host fat-tree\",\n"
-               "    \"speedup\": %.2f,\n"
-               "    \"target_speedup\": 10.0,\n"
-               "    \"within_target\": %s\n"
-               "  },\n"
-               "  \"budget_curve\": [\n",
-               bw.speedup(), bw.speedup() >= 10.0 ? "true" : "false");
-  for (std::size_t i = 0; i < curve.size(); ++i) {
-    const BudgetPoint& p = curve[i];
-    std::fprintf(f,
-                 "    { \"budget\": %d, \"steps\": %d, \"migrations\": %ld, "
-                 "\"migrations_per_hour\": %.1f, \"mean_quality\": %.4f, "
-                 "\"mean_objective\": %.6f, \"reselect_seconds\": %.3f }%s\n",
-                 p.budget, p.steps, p.migrations, p.migrations_per_hour,
-                 p.mean_quality, p.mean_objective, p.reselect_seconds,
-                 i + 1 < curve.size() ? "," : "");
-  }
-  std::fprintf(f,
-               "  ],\n"
-               "  \"metrics\": {\n"
-               "    \"deltas_applied\": %llu,\n"
-               "    \"rows_repaired\": %llu,\n"
-               "    \"rows_invalidated_partial\": %llu,\n"
-               "    \"rows_invalidated_full\": %llu\n"
-               "  }\n"
-               "}\n",
-               static_cast<unsigned long long>(
-                   counter_value("select.ctx.delta.applied")),
-               static_cast<unsigned long long>(
-                   counter_value("select.ctx.rows.repaired")),
-               static_cast<unsigned long long>(
-                   counter_value("select.ctx.rows.invalidated.partial")),
-               static_cast<unsigned long long>(
-                   counter_value("select.ctx.rows.invalidated.full")));
-  std::fclose(f);
-  std::fprintf(stderr, "wrote %s\n", path);
-  return 0;
-}
-
-bool write_obs_exports(const char* metrics_path, const char* trace_path) {
-  api::register_service_metrics();
-  bool ok = true;
-  if (metrics_path) {
-    std::ofstream f(metrics_path);
-    if (f) {
-      obs::write_json(obs::Registry::global(), f);
-      std::fprintf(stderr, "wrote %s\n", metrics_path);
-    } else {
-      std::fprintf(stderr, "cannot open %s for writing\n", metrics_path);
-      ok = false;
-    }
-  }
-  if (trace_path) {
-    std::ofstream f(trace_path);
-    if (f) {
-      obs::write_chrome_trace(obs::Registry::global(), f);
-      std::fprintf(stderr, "wrote %s\n", trace_path);
-    } else {
-      std::fprintf(stderr, "cannot open %s for writing\n", trace_path);
-      ok = false;
-    }
-  }
-  return ok;
+  phase("link_bandwidth_deltas", bw);
+  phase("node_load_deltas", load);
+  w.object("headline")
+      .field("contract",
+             "warm evaluation after a single-link bandwidth delta >= 10x "
+             "faster than full epoch invalidation, 10k-host fat-tree")
+      .field("speedup", bw.speedup(), "%.2f")
+      .field("target_speedup", 10.0, "%.1f")
+      .field("within_target", bw.speedup() >= 10.0)
+      .end();
+  w.array("budget_curve");
+  for (const BudgetPoint& p : curve)
+    w.object(nullptr, true)
+        .field("budget", p.budget)
+        .field("steps", p.steps)
+        .field("migrations", p.migrations)
+        .field("migrations_per_hour", p.migrations_per_hour, "%.1f")
+        .field("mean_quality", p.mean_quality, "%.4f")
+        .field("mean_objective", p.mean_objective, "%.6f")
+        .field("reselect_seconds", p.reselect_seconds, "%.3f")
+        .end();
+  w.end();
+  w.object("metrics")
+      .field("deltas_applied", bench::counter("select.ctx.delta.applied"))
+      .field("rows_repaired", bench::counter("select.ctx.rows.repaired"))
+      .field("rows_invalidated_partial",
+             bench::counter("select.ctx.rows.invalidated.partial"))
+      .field("rows_invalidated_full",
+             bench::counter("select.ctx.rows.invalidated.full"))
+      .end();
+  return w.close();
 }
 
 }  // namespace
@@ -497,43 +413,24 @@ int main(int argc, char** argv) {
   bool csv = false;
   bool check = false;
   const char* json_path = nullptr;
-  const char* metrics_path = nullptr;
-  const char* trace_path = nullptr;
-  int positional = 0;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--csv") == 0) {
-      csv = true;
-    } else if (std::strcmp(argv[i], "--check") == 0) {
-      check = true;
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      ++i;  // accepted for flag-compatibility; this benchmark is serial
-    } else if (std::strcmp(argv[i], "--bench-json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--metrics-json") == 0 && i + 1 < argc) {
-      metrics_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--chrome-trace") == 0 && i + 1 < argc) {
-      trace_path = argv[++i];
-    } else if (positional == 0) {
-      reps = std::atoi(argv[i]);
-      ++positional;
-    } else {
-      seed = static_cast<std::uint64_t>(std::strtoull(argv[i], nullptr, 10));
-      ++positional;
-    }
-  }
-  if (reps < 1) {
-    std::fprintf(stderr, "reps must be >= 1\n");
-    return 1;
-  }
+  bench::ObsExport obs_export;
+  bench::Args args;
+  args.positional("reps", &reps, 1)
+      .positional("seed", &seed)
+      .flag("--csv", &csv)
+      .flag("--check", &check)
+      .option("--bench-json", "PATH", &json_path);
+  obs_export.declare(args);
+  args.parse(argc, argv);
   const int m = 16;
   if (check) return run_check(seed, m);
-  if (json_path || metrics_path || trace_path) obs::set_enabled(true);
+  obs_export.enable(json_path != nullptr);
 
   std::fprintf(stderr, "bench_churn: generating 10k-host fat-tree (seed "
                        "%llu)...\n",
                static_cast<unsigned long long>(seed));
   auto g = topo::fat_tree(topo::fat_tree_for_hosts(10000, 48, 3.0, seed));
-  const int hosts = static_cast<int>(compute_hosts(g).size());
+  const int hosts = static_cast<int>(g.compute_node_count());
   remos::NetworkSnapshot snap(g);
   remos::apply_synthetic_load(snap, seed + 7);
   select::SelectionContext warm(snap);
@@ -612,12 +509,12 @@ int main(int argc, char** argv) {
                   p.migrations, p.migrations_per_hour, p.mean_quality,
                   p.mean_objective);
   }
-  if (json_path) {
-    int rc = write_bench_json(json_path, seed, m, hosts, g.node_count(),
-                              g.link_count(), bw_phase, load_phase, curve);
-    if (rc != 0) return rc;
-  }
-  if (!write_obs_exports(metrics_path, trace_path)) return 1;
+  if (json_path && write_bench_json(json_path, seed, m, hosts, g.node_count(),
+                                    g.link_count(), bw_phase, load_phase,
+                                    curve))
+    return 1;
+  api::register_service_metrics();
+  if (!obs_export.write()) return 1;
   if (!bw_phase.identical || !load_phase.identical) return 2;
   return bw_phase.speedup() >= 10.0 ? 0 : 2;
 }

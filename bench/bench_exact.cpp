@@ -9,9 +9,7 @@
 // serial search — the emitted values are bit-identical across machines,
 // so CI gates on them (scripts/check_bench_regression.py, "exact").
 //
-// Usage: bench_exact [--seed S] [--hosts N] [--budget N] [--csv]
-//                    [--no-constraints] [--check] [--bench-json PATH]
-//                    [--metrics-json PATH] [--chrome-trace PATH]
+// Usage: bench_exact [--seed S] [--hosts N] [--budget N] [flags]
 // Defaults: seed 7177, 120 hosts per family, 20000 expansions per cell.
 //   --check      fast contract smoke for CI: a reduced grid (24 hosts,
 //                m in {2,4}) must be sound in every cell (incumbent and
@@ -21,24 +19,19 @@
 //                Exits non-zero on violation.
 //   --csv        append the machine-readable grid after the table.
 //   --bench-json P    write the gap record (cells + headline) to P.
-//   --metrics-json P  enable the obs registry and write its JSON document
-//                     (schema netsel-metrics-v1) to P — populates the
-//                     select.bnb.* counters and select.latency_s.bnb.
-//   --chrome-trace P  enable the obs registry and write recorded spans as
-//                     Chrome trace_event JSON to P.
+//   --no-constraints  skip the fixed-constraint x prioritization block.
+//   --metrics-json P, --chrome-trace P  write the obs metrics document (the
+//                     select.bnb.* counters, select.latency_s.bnb) / the
+//                     Chrome trace of the run (bench/harness.hpp).
 
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <limits>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "exp/exact.hpp"
-#include "obs/export.hpp"
+#include "harness.hpp"
 #include "obs/metrics.hpp"
 #include "remos/snapshot.hpp"
 #include "select/bnb.hpp"
@@ -48,14 +41,9 @@
 
 namespace {
 
+namespace bench = netsel::bench;
 using netsel::exp::ExactCell;
 using netsel::exp::ExactGridOptions;
-
-std::uint64_t counter_value(const char* name) {
-  for (const auto& [n, v] : netsel::obs::Registry::global().counters())
-    if (n == name) return v;
-  return 0;
-}
 
 /// Soundness of one cell: nothing ever exceeds the certified bound, and a
 /// certified cell is closed (incumbent == bound).
@@ -101,124 +89,55 @@ Headline summarize(const std::vector<ExactCell>& cells) {
   return h;
 }
 
-void json_number(std::FILE* f, double v) {
-  // Regression tooling parses this with json.load: non-finite values must
-  // become null, not bare inf tokens.
-  if (std::isfinite(v))
-    std::fprintf(f, "%.17g", v);
-  else
-    std::fprintf(f, "null");
-}
-
 int write_bench_json(const char* path, const ExactGridOptions& opt,
                      const std::vector<ExactCell>& cells,
                      const Headline& h) {
-  std::FILE* f = std::fopen(path, "w");
-  if (!f) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path);
-    return 1;
-  }
-  std::fprintf(f,
-               "{\n"
-               "  \"benchmark\": \"exact\",\n"
-               "  \"hardware_threads\": %u,\n"
-               "  \"seed\": %llu,\n"
-               "  \"hosts\": %d,\n"
-               "  \"node_budget\": %llu,\n"
-               "  \"cells\": [\n",
-               std::thread::hardware_concurrency(),
-               static_cast<unsigned long long>(opt.seed), opt.hosts,
-               static_cast<unsigned long long>(opt.node_budget));
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const ExactCell& c = cells[i];
-    std::fprintf(f,
-                 "    { \"family\": \"%s\", \"variant\": \"%s\", "
-                 "\"criterion\": \"%s\", \"m\": %d, \"pool\": %zu, "
-                 "\"greedy_feasible\": %s, \"greedy_value\": ",
-                 c.family.c_str(), c.variant.c_str(),
-                 netsel::select::criterion_name(c.criterion), c.m, c.pool,
-                 c.greedy_feasible ? "true" : "false");
-    json_number(f, c.greedy_value);
-    std::fprintf(f, ", \"exact_value\": ");
-    json_number(f, c.exact_value);
-    std::fprintf(f, ", \"upper_bound\": ");
-    json_number(f, c.upper_bound);
-    std::fprintf(f, ", \"greedy_ratio\": ");
-    json_number(f, c.greedy_ratio());
-    std::fprintf(f,
-                 ", \"certified\": %s, \"stop\": \"%s\", \"expanded\": %llu, "
-                 "\"seconds\": %.4f }%s\n",
-                 c.certified ? "true" : "false", c.stop.c_str(),
-                 static_cast<unsigned long long>(c.expanded), c.seconds,
-                 i + 1 < cells.size() ? "," : "");
-  }
-  std::fprintf(f,
-               "  ],\n"
-               "  \"headline\": {\n"
-               "    \"contract\": \"every family x m x criterion cell "
-               "carries a sound bracket greedy <= optimum <= bound; "
-               "certified cells are bit-exact brute-force optima\",\n"
-               "    \"cells\": %zu,\n"
-               "    \"exact_cells\": %zu,\n"
-               "    \"bounded_cells\": %zu,\n"
-               "    \"sound\": %s,\n"
-               "    \"worst_greedy_ratio\": ",
-               h.cells, h.exact_cells, h.bounded_cells,
-               h.sound ? "true" : "false");
-  json_number(f, h.worst_greedy_ratio);
-  std::fprintf(f, ",\n    \"mean_greedy_ratio\": ");
-  json_number(f, h.mean_greedy_ratio);
-  std::fprintf(f,
-               "\n  },\n"
-               "  \"metrics\": {\n"
-               "    \"bnb_selections\": %llu,\n"
-               "    \"bnb_expanded\": %llu,\n"
-               "    \"bnb_pruned_bound\": %llu,\n"
-               "    \"bnb_pruned_lex\": %llu,\n"
-               "    \"bnb_certified\": %llu,\n"
-               "    \"bnb_budget_hits\": %llu\n"
-               "  }\n"
-               "}\n",
-               static_cast<unsigned long long>(
-                   counter_value("select.bnb.selections")),
-               static_cast<unsigned long long>(
-                   counter_value("select.bnb.expanded")),
-               static_cast<unsigned long long>(
-                   counter_value("select.bnb.pruned_bound")),
-               static_cast<unsigned long long>(
-                   counter_value("select.bnb.pruned_lex")),
-               static_cast<unsigned long long>(
-                   counter_value("select.bnb.certified")),
-               static_cast<unsigned long long>(
-                   counter_value("select.bnb.budget_hits")));
-  std::fclose(f);
-  std::fprintf(stderr, "wrote %s\n", path);
-  return 0;
-}
-
-bool write_obs_exports(const char* metrics_path, const char* trace_path) {
-  bool ok = true;
-  if (metrics_path) {
-    std::ofstream f(metrics_path);
-    if (f) {
-      netsel::obs::write_json(netsel::obs::Registry::global(), f);
-      std::fprintf(stderr, "wrote %s\n", metrics_path);
-    } else {
-      std::fprintf(stderr, "cannot open %s for writing\n", metrics_path);
-      ok = false;
-    }
-  }
-  if (trace_path) {
-    std::ofstream f(trace_path);
-    if (f) {
-      netsel::obs::write_chrome_trace(netsel::obs::Registry::global(), f);
-      std::fprintf(stderr, "wrote %s\n", trace_path);
-    } else {
-      std::fprintf(stderr, "cannot open %s for writing\n", trace_path);
-      ok = false;
-    }
-  }
-  return ok;
+  // Non-finite values (an infeasible greedy, an unbounded bracket) are
+  // written as null, which the regression tooling's json.load accepts.
+  bench::JsonWriter w(path, "exact");
+  w.field("seed", opt.seed)
+      .field("hosts", opt.hosts)
+      .field("node_budget", opt.node_budget)
+      .array("cells");
+  for (const ExactCell& c : cells)
+    w.object(nullptr, true)
+        .field("family", c.family)
+        .field("variant", c.variant)
+        .field("criterion", netsel::select::criterion_name(c.criterion))
+        .field("m", c.m)
+        .field("pool", c.pool)
+        .field("greedy_feasible", c.greedy_feasible)
+        .field("greedy_value", c.greedy_value)
+        .field("exact_value", c.exact_value)
+        .field("upper_bound", c.upper_bound)
+        .field("greedy_ratio", c.greedy_ratio())
+        .field("certified", c.certified)
+        .field("stop", c.stop)
+        .field("expanded", c.expanded)
+        .field("seconds", c.seconds, "%.4f")
+        .end();
+  w.end();
+  w.object("headline")
+      .field("contract",
+             "every family x m x criterion cell carries a sound bracket "
+             "greedy <= optimum <= bound; certified cells are bit-exact "
+             "brute-force optima")
+      .field("cells", h.cells)
+      .field("exact_cells", h.exact_cells)
+      .field("bounded_cells", h.bounded_cells)
+      .field("sound", h.sound)
+      .field("worst_greedy_ratio", h.worst_greedy_ratio)
+      .field("mean_greedy_ratio", h.mean_greedy_ratio)
+      .end();
+  w.object("metrics")
+      .field("bnb_selections", bench::counter("select.bnb.selections"))
+      .field("bnb_expanded", bench::counter("select.bnb.expanded"))
+      .field("bnb_pruned_bound", bench::counter("select.bnb.pruned_bound"))
+      .field("bnb_pruned_lex", bench::counter("select.bnb.pruned_lex"))
+      .field("bnb_certified", bench::counter("select.bnb.certified"))
+      .field("bnb_budget_hits", bench::counter("select.bnb.budget_hits"))
+      .end();
+  return w.close();
 }
 
 /// --check oracle leg: B&B vs brute force on an oracle-reachable fat tree.
@@ -258,40 +177,23 @@ int main(int argc, char** argv) {
   ExactGridOptions opt;
   bool csv = false;
   bool check = false;
+  bool no_constraints = false;
   const char* json_path = nullptr;
-  const char* metrics_path = nullptr;
-  const char* trace_path = nullptr;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--csv") == 0) {
-      csv = true;
-    } else if (std::strcmp(argv[i], "--check") == 0) {
-      check = true;
-    } else if (std::strcmp(argv[i], "--no-constraints") == 0) {
-      opt.constraint_cells = false;
-    } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      opt.seed = static_cast<std::uint64_t>(
-          std::strtoull(argv[++i], nullptr, 10));
-    } else if (std::strcmp(argv[i], "--hosts") == 0 && i + 1 < argc) {
-      opt.hosts = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--budget") == 0 && i + 1 < argc) {
-      opt.node_budget = static_cast<std::uint64_t>(
-          std::strtoull(argv[++i], nullptr, 10));
-    } else if (std::strcmp(argv[i], "--bench-json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--metrics-json") == 0 && i + 1 < argc) {
-      metrics_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--chrome-trace") == 0 && i + 1 < argc) {
-      trace_path = argv[++i];
-    } else {
-      std::fprintf(stderr, "unknown argument: %s\n", argv[i]);
-      return 2;
-    }
-  }
-  if (opt.hosts < 24 || opt.hosts % 12 != 0) {
-    std::fprintf(stderr, "--hosts must be >= 24 and divisible by 12\n");
-    return 2;
-  }
-  if (metrics_path || trace_path) netsel::obs::set_enabled(true);
+  bench::ObsExport obs_export;
+  bench::Args args;
+  args.option("--seed", "S", &opt.seed)
+      .option("--hosts", "N", &opt.hosts)
+      .option("--budget", "N", &opt.node_budget)
+      .flag("--csv", &csv)
+      .flag("--no-constraints", &no_constraints)
+      .flag("--check", &check)
+      .option("--bench-json", "PATH", &json_path);
+  obs_export.declare(args);
+  args.parse(argc, argv);
+  if (no_constraints) opt.constraint_cells = false;
+  if (opt.hosts < 24 || opt.hosts % 12 != 0)
+    args.fail("--hosts must be >= 24 and divisible by 12");
+  obs_export.enable();
 
   if (check) {
     // Reduced grid: small instances, shallow m, tight budget — seconds,
@@ -316,7 +218,7 @@ int main(int argc, char** argv) {
 
   int rc = 0;
   if (json_path) rc |= write_bench_json(json_path, opt, cells, h);
-  if (!write_obs_exports(metrics_path, trace_path)) rc = 1;
+  if (!obs_export.write()) rc = 1;
 
   if (check) {
     if (!h.sound) {

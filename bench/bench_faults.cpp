@@ -5,8 +5,7 @@
 // Auto policies select through NodeSelectionService, so the degradation
 // ladder (full -> smoothed -> prior) is exercised and counted per cell.
 //
-// Usage: bench_faults [trials] [seed] [--csv] [--threads N] [--check]
-//                     [--metrics-json PATH] [--chrome-trace PATH]
+// Usage: bench_faults [trials] [seed] [flags]
 // Defaults: 12 trials, seed 2031, serial execution.
 //   --threads N  run the grid on an N-worker pool (N < 0: one worker per
 //                hardware thread); statistics are bit-identical for any N.
@@ -16,52 +15,16 @@
 //                changes nothing), and no cell may have lost trials to a
 //                thrown selection. Used as the CI smoke step.
 //   --csv        append the machine-readable grid after the table.
-//   --metrics-json P  enable the obs registry and write its JSON document
-//                     (schema netsel-metrics-v1) to P after the run — the
-//                     fault sweep populates the remos.* and api.degradation
-//                     metrics the Table-1 grid never touches.
-//   --chrome-trace P  enable the obs registry and write the recorded spans
-//                     as Chrome trace_event JSON to P (load in Perfetto).
+//   --metrics-json P, --chrome-trace P  write the obs metrics document
+//                     (with the remos.* and api.degradation metrics the
+//                     Table-1 grid never touches) / the Chrome trace.
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
+#include <string>
 
 #include "api/service.hpp"
 #include "exp/faults.hpp"
-#include "obs/export.hpp"
-#include "obs/metrics.hpp"
-
-namespace {
-
-bool write_obs_exports(const char* metrics_path, const char* trace_path) {
-  netsel::api::register_service_metrics();
-  bool ok = true;
-  if (metrics_path) {
-    std::ofstream f(metrics_path);
-    if (f) {
-      netsel::obs::write_json(netsel::obs::Registry::global(), f);
-      std::fprintf(stderr, "wrote %s\n", metrics_path);
-    } else {
-      std::fprintf(stderr, "cannot open %s for writing\n", metrics_path);
-      ok = false;
-    }
-  }
-  if (trace_path) {
-    std::ofstream f(trace_path);
-    if (f) {
-      netsel::obs::write_chrome_trace(netsel::obs::Registry::global(), f);
-      std::fprintf(stderr, "wrote %s\n", trace_path);
-    } else {
-      std::fprintf(stderr, "cannot open %s for writing\n", trace_path);
-      ok = false;
-    }
-  }
-  return ok;
-}
-
-}  // namespace
+#include "harness.hpp"
 
 int main(int argc, char** argv) {
   using namespace netsel::exp;
@@ -69,39 +32,23 @@ int main(int argc, char** argv) {
   FaultGridOptions opt;
   bool csv = false;
   bool check = false;
-  const char* metrics_path = nullptr;
-  const char* trace_path = nullptr;
-  int positional = 0;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--csv") == 0) {
-      csv = true;
-    } else if (std::strcmp(argv[i], "--check") == 0) {
-      check = true;
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      opt.threads = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--metrics-json") == 0 && i + 1 < argc) {
-      metrics_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--chrome-trace") == 0 && i + 1 < argc) {
-      trace_path = argv[++i];
-    } else if (positional == 0) {
-      opt.trials = std::atoi(argv[i]);
-      ++positional;
-    } else {
-      opt.seed = static_cast<std::uint64_t>(std::strtoull(argv[i], nullptr, 10));
-      ++positional;
-    }
-  }
-  if (opt.trials < 1) {
-    std::fprintf(stderr, "trials must be >= 1\n");
-    return 1;
-  }
+  netsel::bench::ObsExport obs_export;
+  netsel::bench::Args args;
+  args.positional("trials", &opt.trials, 1)
+      .positional("seed", &opt.seed)
+      .flag("--csv", &csv)
+      .option("--threads", "N", &opt.threads)
+      .flag("--check", &check);
+  obs_export.declare(args);
+  args.parse(argc, argv);
   opt.verbose = true;
-  if (metrics_path || trace_path) netsel::obs::set_enabled(true);
+  obs_export.enable();
 
   auto rows = run_fault_grid(opt);
   std::printf("%s\n", format_fault_grid(rows, opt).c_str());
   if (csv) std::printf("%s", fault_grid_csv(rows, opt).c_str());
-  if (!write_obs_exports(metrics_path, trace_path)) return 1;
+  netsel::api::register_service_metrics();
+  if (!obs_export.write()) return 1;
 
   if (check) {
     // No-fault contract: the severity-0 row must be the unperturbed

@@ -15,9 +15,7 @@
 // balanced selection on the largest fat-tree in the run, cold,
 // single-threaded, in under 1 s.
 //
-// Usage: bench_scale [reps] [seed] [--csv] [--check] [--threads N]
-//                    [--m M] [--huge] [--bench-json PATH]
-//                    [--metrics-json PATH] [--chrome-trace PATH]
+// Usage: bench_scale [reps] [seed] [flags]
 // Defaults: 3 reps per cell, seed 4242, m = 16.
 //   --m M            selection size for every cell (the paper's m).
 //   --huge           add the ~1M-host three-level fat-tree cell (balanced
@@ -31,29 +29,20 @@
 //   --csv            append the machine-readable grid after the table.
 //   --bench-json P   write the perf record (per-cell timings, headline,
 //                    pooled rerun, memory, counters) to P.
-//   --metrics-json P enable the obs registry and write its JSON document
-//                    (schema netsel-metrics-v1) to P after the run.
-//   --chrome-trace P enable the obs registry and write the recorded spans
-//                    as Chrome trace_event JSON to P.
+//   --metrics-json P, --chrome-trace P  write the obs metrics document /
+//                    the Chrome trace of the run (bench/harness.hpp).
 
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <limits>
+#include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
-#if defined(__unix__) || defined(__APPLE__)
-#include <sys/resource.h>
-#endif
-
 #include "api/service.hpp"
-#include "obs/export.hpp"
+#include "harness.hpp"
 #include "obs/metrics.hpp"
 #include "remos/snapshot.hpp"
 #include "select/algorithms.hpp"
@@ -65,33 +54,8 @@
 namespace {
 
 using namespace netsel;
-using Clock = std::chrono::steady_clock;
-
-double seconds_since(Clock::time_point t0) {
-  return std::chrono::duration<double>(Clock::now() - t0).count();
-}
-
-std::uint64_t counter_value(const char* name) {
-  for (const auto& [n, v] : obs::Registry::global().counters())
-    if (n == name) return v;
-  return 0;
-}
-
-/// Resident-set high-water mark of this process, in bytes (0 where the
-/// platform has no getrusage). ru_maxrss is KiB on Linux, bytes on macOS.
-std::uint64_t peak_rss_bytes() {
-#if defined(__unix__) || defined(__APPLE__)
-  struct rusage ru {};
-  if (getrusage(RUSAGE_SELF, &ru) == 0) {
-#if defined(__APPLE__)
-    return static_cast<std::uint64_t>(ru.ru_maxrss);
-#else
-    return static_cast<std::uint64_t>(ru.ru_maxrss) * 1024u;
-#endif
-  }
-#endif
-  return 0;
-}
+using bench::Clock;
+using bench::seconds_since;
 
 struct CaseSpec {
   const char* family;
@@ -111,10 +75,8 @@ std::vector<CaseSpec> build_cases(std::uint64_t seed, bool reduced,
   std::vector<CaseSpec> cases;
   auto add = [&](const char* family, topo::TopologyGraph g, double secs,
                  bool balanced_only = false) {
-    CaseSpec c{family, std::move(g), secs, 0, balanced_only};
-    for (std::size_t i = 0; i < c.graph.node_count(); ++i)
-      if (c.graph.is_compute(static_cast<topo::NodeId>(i))) ++c.hosts;
-    cases.push_back(std::move(c));
+    const int hosts = static_cast<int>(g.compute_node_count());
+    cases.push_back({family, std::move(g), secs, hosts, balanced_only});
   };
   const std::vector<int> ft_hosts =
       reduced ? std::vector<int>{256} : std::vector<int>{512, 2048, 10000};
@@ -331,125 +293,57 @@ int run_check(std::uint64_t seed, int m) {
   return rc;
 }
 
-bool write_obs_exports(const char* metrics_path, const char* trace_path) {
-  // Pre-register the service metrics so the exported document carries the
-  // full schema (scripts/check_metrics_json.py requires the degradation
-  // ladder), even though this benchmark never places through the service.
-  api::register_service_metrics();
-  bool ok = true;
-  if (metrics_path) {
-    std::ofstream f(metrics_path);
-    if (f) {
-      obs::write_json(obs::Registry::global(), f);
-      std::fprintf(stderr, "wrote %s\n", metrics_path);
-    } else {
-      std::fprintf(stderr, "cannot open %s for writing\n", metrics_path);
-      ok = false;
-    }
-  }
-  if (trace_path) {
-    std::ofstream f(trace_path);
-    if (f) {
-      obs::write_chrome_trace(obs::Registry::global(), f);
-      std::fprintf(stderr, "wrote %s\n", trace_path);
-    } else {
-      std::fprintf(stderr, "cannot open %s for writing\n", trace_path);
-      ok = false;
-    }
-  }
-  return ok;
-}
-
 int write_bench_json(const char* path, std::uint64_t seed, int m, int reps,
                      const std::vector<CellResult>& cells,
                      const CriterionTiming* headline,
                      const CaseSpec* headline_spec, const PooledSelect* ps) {
-  std::FILE* f = std::fopen(path, "w");
-  if (!f) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path);
-    return 1;
+  bench::JsonWriter w(path, "scale");
+  w.field("seed", seed).field("m", m).field("reps", reps).array("cells");
+  for (const CellResult& cell : cells) {
+    w.object()
+        .field("family", cell.spec->family)
+        .field("nodes", cell.spec->graph.node_count())
+        .field("links", cell.spec->graph.link_count())
+        .field("hosts", cell.spec->hosts)
+        .field("build_seconds", cell.spec->build_seconds, "%.4f")
+        .object("criteria");
+    for (const CriterionTiming& t : cell.timings)
+      w.object(select::criterion_name(t.criterion), true)
+          .field("cold_seconds", t.cold_seconds, "%.5f")
+          .field("warm_seconds", t.warm_seconds, "%.5f")
+          .field("unpruned_cold_seconds", t.naive_seconds, "%.5f")
+          .field("identical", t.identical)
+          .end();
+    w.end().end();
   }
-  std::fprintf(f,
-               "{\n"
-               "  \"benchmark\": \"scale\",\n"
-               "  \"hardware_threads\": %u,\n"
-               "  \"seed\": %llu,\n"
-               "  \"m\": %d,\n"
-               "  \"reps\": %d,\n"
-               "  \"cells\": [\n",
-               std::thread::hardware_concurrency(),
-               static_cast<unsigned long long>(seed), m, reps);
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const CellResult& cell = cells[i];
-    std::fprintf(f,
-                 "    {\n"
-                 "      \"family\": \"%s\",\n"
-                 "      \"nodes\": %zu,\n"
-                 "      \"links\": %zu,\n"
-                 "      \"hosts\": %d,\n"
-                 "      \"build_seconds\": %.4f,\n"
-                 "      \"criteria\": {\n",
-                 cell.spec->family, cell.spec->graph.node_count(),
-                 cell.spec->graph.link_count(), cell.spec->hosts,
-                 cell.spec->build_seconds);
-    for (std::size_t j = 0; j < cell.timings.size(); ++j) {
-      const CriterionTiming& t = cell.timings[j];
-      std::fprintf(f,
-                   "        \"%s\": { \"cold_seconds\": %.5f, "
-                   "\"warm_seconds\": %.5f, \"unpruned_cold_seconds\": %.5f, "
-                   "\"identical\": %s }%s\n",
-                   select::criterion_name(t.criterion), t.cold_seconds,
-                   t.warm_seconds, t.naive_seconds,
-                   t.identical ? "true" : "false",
-                   j + 1 < cell.timings.size() ? "," : "");
-    }
-    std::fprintf(f, "      }\n    }%s\n", i + 1 < cells.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n");
+  w.end();
   if (headline && headline_spec) {
-    std::fprintf(f,
-                 "  \"headline\": {\n"
-                 "    \"contract\": \"balanced m=%d on the largest fat-tree, "
-                 "cold, single-threaded, < 1 s\",\n"
-                 "    \"family\": \"%s\",\n"
-                 "    \"nodes\": %zu,\n"
-                 "    \"hosts\": %d,\n"
-                 "    \"cold_seconds\": %.5f,\n"
-                 "    \"target_seconds\": 1.0,\n"
-                 "    \"within_target\": %s\n"
-                 "  },\n",
-                 m, headline_spec->family, headline_spec->graph.node_count(),
-                 headline_spec->hosts, headline->cold_seconds,
-                 headline->cold_seconds < 1.0 ? "true" : "false");
+    const std::string contract =
+        "balanced m=" + std::to_string(m) +
+        " on the largest fat-tree, cold, single-threaded, < 1 s";
+    w.object("headline")
+        .field("contract", contract)
+        .field("family", headline_spec->family)
+        .field("nodes", headline_spec->graph.node_count())
+        .field("hosts", headline_spec->hosts)
+        .field("cold_seconds", headline->cold_seconds, "%.5f")
+        .field("target_seconds", 1.0, "%.1f")
+        .field("within_target", headline->cold_seconds < 1.0)
+        .end();
   }
-  if (ps) {
-    std::fprintf(f,
-                 "  \"pooled_balanced\": {\n"
-                 "    \"workers\": %d,\n"
-                 "    \"serial_cold_seconds\": %.5f,\n"
-                 "    \"pool_cold_seconds\": %.5f,\n"
-                 "    \"identical\": %s\n"
-                 "  },\n",
-                 ps->workers, ps->serial_seconds, ps->pool_seconds,
-                 ps->identical ? "true" : "false");
-  }
-  std::fprintf(f,
-               "  \"memory\": {\n"
-               "    \"peak_rss_bytes\": %llu\n"
-               "  },\n"
-               "  \"metrics\": {\n"
-               "    \"prune_dropped\": %llu,\n"
-               "    \"ctx_row_misses\": %llu\n"
-               "  }\n"
-               "}\n",
-               static_cast<unsigned long long>(peak_rss_bytes()),
-               static_cast<unsigned long long>(
-                   counter_value("select.prune.dropped")),
-               static_cast<unsigned long long>(
-                   counter_value("select.ctx.row_misses")));
-  std::fclose(f);
-  std::fprintf(stderr, "wrote %s\n", path);
-  return 0;
+  if (ps)
+    w.object("pooled_balanced")
+        .field("workers", ps->workers)
+        .field("serial_cold_seconds", ps->serial_seconds, "%.5f")
+        .field("pool_cold_seconds", ps->pool_seconds, "%.5f")
+        .field("identical", ps->identical)
+        .end();
+  w.object("memory").field("peak_rss_bytes", bench::peak_rss_bytes()).end();
+  w.object("metrics")
+      .field("prune_dropped", bench::counter("select.prune.dropped"))
+      .field("ctx_row_misses", bench::counter("select.ctx.row_misses"))
+      .end();
+  return w.close();
 }
 
 }  // namespace
@@ -463,44 +357,20 @@ int main(int argc, char** argv) {
   bool check = false;
   bool huge = false;
   const char* json_path = nullptr;
-  const char* metrics_path = nullptr;
-  const char* trace_path = nullptr;
-  int positional = 0;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--csv") == 0) {
-      csv = true;
-    } else if (std::strcmp(argv[i], "--check") == 0) {
-      check = true;
-    } else if (std::strcmp(argv[i], "--huge") == 0) {
-      huge = true;
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      threads = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--m") == 0 && i + 1 < argc) {
-      m = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--bench-json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--metrics-json") == 0 && i + 1 < argc) {
-      metrics_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--chrome-trace") == 0 && i + 1 < argc) {
-      trace_path = argv[++i];
-    } else if (positional == 0) {
-      reps = std::atoi(argv[i]);
-      ++positional;
-    } else {
-      seed = static_cast<std::uint64_t>(std::strtoull(argv[i], nullptr, 10));
-      ++positional;
-    }
-  }
-  if (reps < 1) {
-    std::fprintf(stderr, "reps must be >= 1\n");
-    return 1;
-  }
-  if (m < 1) {
-    std::fprintf(stderr, "m must be >= 1\n");
-    return 1;
-  }
+  bench::ObsExport obs_export;
+  bench::Args args;
+  args.positional("reps", &reps, 1)
+      .positional("seed", &seed)
+      .flag("--csv", &csv)
+      .flag("--check", &check)
+      .flag("--huge", &huge)
+      .option("--threads", "N", &threads)
+      .option("--m", "M", &m, 1)
+      .option("--bench-json", "PATH", &json_path);
+  obs_export.declare(args);
+  args.parse(argc, argv);
   if (check) return run_check(seed, m);
-  if (json_path || metrics_path || trace_path) obs::set_enabled(true);
+  obs_export.enable(json_path != nullptr);
 
   std::fprintf(stderr, "bench_scale: generating topologies (seed %llu)...\n",
                static_cast<unsigned long long>(seed));
@@ -540,21 +410,20 @@ int main(int argc, char** argv) {
 
   // Pooled-scoring rerun of the headline balanced selection (--huge only:
   // at grid sizes the fills are under the parallel cut-over anyway).
-  PooledSelect ps;
-  bool have_ps = false;
+  std::optional<PooledSelect> ps;
   if (huge) {
     const CaseSpec* huge_spec = nullptr;
     for (const CaseSpec& spec : cases)
       if (spec.balanced_only) huge_spec = &spec;
     if (huge_spec) {
       ps = time_pooled_select(*huge_spec, seed, m, threads > 0 ? threads : 4);
-      have_ps = true;
       std::printf(
           "pooled balanced on %zu-node fat_tree_3l: serial %.1f ms, "
           "%d workers %.1f ms%s\n",
-          huge_spec->graph.node_count(), ps.serial_seconds * 1e3, ps.workers,
-          ps.pool_seconds * 1e3, ps.identical ? "" : "  IDENTITY FAILED");
-      all_identical = all_identical && ps.identical;
+          huge_spec->graph.node_count(), ps->serial_seconds * 1e3,
+          ps->workers, ps->pool_seconds * 1e3,
+          ps->identical ? "" : "  IDENTITY FAILED");
+      all_identical = all_identical && ps->identical;
     }
   }
 
@@ -567,7 +436,8 @@ int main(int argc, char** argv) {
         headline->cold_seconds < 1.0 ? "PASS" : "FAIL");
   }
   std::printf("peak RSS %.1f MiB\n",
-              static_cast<double>(peak_rss_bytes()) / (1024.0 * 1024.0));
+              static_cast<double>(bench::peak_rss_bytes()) /
+                  (1024.0 * 1024.0));
   if (csv) {
     std::printf("\n-- csv --\nfamily,nodes,links,hosts,criterion,cold_s,"
                 "warm_s,unpruned_cold_s,identical\n");
@@ -584,12 +454,14 @@ int main(int argc, char** argv) {
   // scripts/check_metrics_json.py).
   obs::Registry::global()
       .gauge("proc.peak_rss_bytes")
-      .set(static_cast<double>(peak_rss_bytes()));
-  if (json_path) {
-    int rc = write_bench_json(json_path, seed, m, reps, cells, headline,
-                              headline_spec, have_ps ? &ps : nullptr);
-    if (rc != 0) return rc;
-  }
-  if (!write_obs_exports(metrics_path, trace_path)) return 1;
+      .set(static_cast<double>(bench::peak_rss_bytes()));
+  if (json_path && write_bench_json(json_path, seed, m, reps, cells, headline,
+                                    headline_spec, ps ? &*ps : nullptr))
+    return 1;
+  // Pre-register the service metrics so the exported document carries the
+  // full schema (scripts/check_metrics_json.py requires the degradation
+  // ladder), even though this benchmark never places through the service.
+  api::register_service_metrics();
+  if (!obs_export.write()) return 1;
   return all_identical ? 0 : 2;
 }

@@ -16,10 +16,7 @@
 // the pooled and serial runs are bit-identical, and the scheduler sustains
 // > 0 placements/sec with finite p50/p99 placement latency.
 //
-// Usage: bench_service [jobs] [seed] [--csv] [--check] [--threads N]
-//                      [--bench-json PATH] [--metrics-json PATH]
-//                      [--chrome-trace PATH] [--timeseries-json PATH]
-//                      [--timeseries-csv PATH] [--job-trace PATH]
+// Usage: bench_service [jobs] [seed] [flags]
 // Defaults: 300 jobs, seed 4242, hardware threads.
 //   --check          CI smoke: a small fat-tree, serial vs 2-thread digest
 //                    equality, exclusive-allocation and exact-snapshot-
@@ -32,30 +29,23 @@
 //   --csv            append machine-readable per-tenant records.
 //   --bench-json P   write the perf record (placements/sec, latency
 //                    percentiles, job outcomes, ladder counts) to P.
-//   --metrics-json P enable the obs registry and write its JSON to P.
-//   --chrome-trace P enable the obs registry and write spans to P (with
-//                    time-series counter curves and per-job tracks merged
-//                    in when those recorders are active).
-//   --timeseries-json P  sample the pooled run on a sim-time cadence and
-//                    write the netsel-timeseries-v1 document to P.
-//   --timeseries-csv P   same samples as a CSV table.
+//   --metrics-json P, --chrome-trace P  write the obs metrics document /
+//                    the Chrome trace (bench/harness.hpp), the trace with
+//                    the recorders' tracks merged in.
+//   --timeseries-json P, --timeseries-csv P  sample the pooled run once per
+//                    sim-second (netsel-timeseries-v1 document / CSV).
 //   --job-trace P    record per-job causal traces and write JSONL to P.
 
 #include <algorithm>
-#include <chrono>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <iostream>
 #include <map>
 #include <memory>
 #include <string>
-#include <thread>
+#include <utility>
 #include <vector>
 
-#include "obs/export.hpp"
+#include "harness.hpp"
 #include "obs/flight.hpp"
 #include "obs/jobtrace.hpp"
 #include "obs/metrics.hpp"
@@ -70,11 +60,8 @@
 namespace {
 
 using namespace netsel;
-using Clock = std::chrono::steady_clock;
-
-double seconds_since(Clock::time_point t0) {
-  return std::chrono::duration<double>(Clock::now() - t0).count();
-}
+using bench::Clock;
+using bench::seconds_since;
 
 /// q in [0, 1]; empty-tolerant front end for util::percentile (same linear
 /// interpolation every other bench uses).
@@ -209,8 +196,8 @@ int run_check(std::uint64_t seed) {
   remos::NetworkSnapshot reference(g);
   remos::apply_synthetic_load(reference, seed + 7);
 
-  // High arrival pressure on 128 hosts so the queue, the rejection path and
-  // the conflict re-placement path all fire.
+  // 2 arrivals per sim-second on 128 hosts is high pressure: the queue, the
+  // rejection path and the conflict re-placement path all fire.
   auto run_once = [&](util::ThreadPool* pool,
                       obs::TimeSeriesRecorder* ts = nullptr,
                       obs::JobTraceRecorder* jt = nullptr,
@@ -222,9 +209,7 @@ int run_check(std::uint64_t seed) {
     if (lanes > 0) run_cfg.placement_lanes = lanes;
     sched::SchedulerService run(g, run_cfg);
     remos::apply_synthetic_load(run.snapshot(), seed + 7);
-    sched::WorkloadConfig w = workload_config(seed);
-    w.arrival_rate = 2.0;
-    sched::JobStream stream(w);
+    sched::JobStream stream(workload_config(seed));
     stream.feed(run, 80);
     run.drain();
 
@@ -330,9 +315,7 @@ int run_check(std::uint64_t seed) {
     sched::SchedulerService run(g, prior_cfg);
     remos::apply_synthetic_load(run.snapshot(), seed + 7);
     run.set_measurement_coverage(0.1);  // below every prior_below default
-    sched::WorkloadConfig w = workload_config(seed);
-    w.arrival_rate = 2.0;
-    sched::JobStream stream(w);
+    sched::JobStream stream(workload_config(seed));
     stream.feed(run, 20);
     run.drain();
     bool any_prior = false;
@@ -364,108 +347,55 @@ int write_bench_json(const char* path, std::uint64_t seed, int jobs,
                      int threads, int hosts, std::size_t nodes,
                      std::size_t links, const RunResult& pooled,
                      const RunResult& serial, bool identical) {
-  std::FILE* f = std::fopen(path, "w");
-  if (!f) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path);
-    return 1;
-  }
   const sched::SchedulerStats& st = pooled.stats;
-  std::fprintf(f,
-               "{\n"
-               "  \"benchmark\": \"service\",\n"
-               "  \"hardware_threads\": %u,\n"
-               "  \"threads\": %d,\n"
-               "  \"seed\": %llu,\n"
-               "  \"jobs\": %d,\n"
-               "  \"nodes\": %zu,\n"
-               "  \"links\": %zu,\n"
-               "  \"hosts\": %d,\n"
-               "  \"sim_seconds\": %.1f,\n"
-               "  \"wall_seconds\": %.3f,\n"
-               "  \"outcomes\": {\n"
-               "    \"submitted\": %llu,\n"
-               "    \"admitted\": %llu,\n"
-               "    \"placed\": %llu,\n"
-               "    \"completed\": %llu,\n"
-               "    \"rejected\": %llu,\n"
-               "    \"timed_out\": %llu,\n"
-               "    \"conflicts\": %llu,\n"
-               "    \"infeasible_attempts\": %llu\n"
-               "  },\n",
-               std::thread::hardware_concurrency(), threads,
-               static_cast<unsigned long long>(seed), jobs, nodes, links,
-               hosts, pooled.sim_seconds, pooled.wall_seconds,
-               static_cast<unsigned long long>(st.submitted),
-               static_cast<unsigned long long>(st.admitted),
-               static_cast<unsigned long long>(st.placed),
-               static_cast<unsigned long long>(st.completed),
-               static_cast<unsigned long long>(st.rejected),
-               static_cast<unsigned long long>(st.timed_out),
-               static_cast<unsigned long long>(st.conflicts),
-               static_cast<unsigned long long>(st.infeasible_attempts));
-  std::fprintf(f,
-               "  \"headline\": {\n"
-               "    \"contract\": \"pooled and serial scheduler runs "
-               "bit-identical on the 10k-host fat-tree; sustained placement "
-               "throughput with finite tail latency\",\n"
-               "    \"placements_per_sec\": %.1f,\n"
-               "    \"placement_p50_ms\": %.3f,\n"
-               "    \"placement_p99_ms\": %.3f,\n"
-               "    \"identical\": %s\n"
-               "  },\n"
-               "  \"serial\": {\n"
-               "    \"placements_per_sec\": %.1f,\n"
-               "    \"wall_seconds\": %.3f\n"
-               "  },\n"
-               "  \"tenants\": [\n",
-               pooled.placements_per_sec(),
-               percentile(pooled.latencies, 0.50) * 1e3,
-               percentile(pooled.latencies, 0.99) * 1e3,
-               identical ? "true" : "false", serial.placements_per_sec(),
-               serial.wall_seconds);
-  std::size_t i = 0;
-  for (const auto& [tenant, row] : pooled.tenants) {
-    std::fprintf(f,
-                 "    { \"tenant\": \"%s\", \"placed\": %d, \"full\": %d, "
-                 "\"smoothed\": %d, \"prior\": %d, \"mean_wait_s\": %.2f }%s\n",
-                 tenant.c_str(), row.placed, row.full, row.smoothed, row.prior,
-                 row.placed > 0 ? row.wait_sum / row.placed : 0.0,
-                 ++i < pooled.tenants.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::fprintf(stderr, "wrote %s\n", path);
-  return 0;
-}
-
-/// Write one telemetry artifact via `fn`; returns false on open failure.
-template <typename Fn>
-bool write_artifact(const char* path, Fn&& fn) {
-  if (!path) return true;
-  std::ofstream f(path);
-  if (!f) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path);
-    return false;
-  }
-  fn(f);
-  std::fprintf(stderr, "wrote %s\n", path);
-  return true;
-}
-
-bool write_obs_exports(const char* metrics_path, const char* trace_path,
-                       const obs::TimeSeriesRecorder* ts,
-                       const obs::JobTraceRecorder* jt) {
-  sched::register_scheduler_metrics();
-  bool ok = write_artifact(metrics_path, [](std::ostream& f) {
-    obs::write_json(obs::Registry::global(), f);
-  });
-  ok = write_artifact(trace_path,
-                      [&](std::ostream& f) {
-                        obs::write_chrome_trace(obs::Registry::global(), f,
-                                                ts, jt);
-                      }) &&
-       ok;
-  return ok;
+  bench::JsonWriter w(path, "service");
+  w.field("threads", threads)
+      .field("seed", seed)
+      .field("jobs", jobs)
+      .field("nodes", nodes)
+      .field("links", links)
+      .field("hosts", hosts)
+      .field("sim_seconds", pooled.sim_seconds, "%.1f")
+      .field("wall_seconds", pooled.wall_seconds, "%.3f");
+  w.object("outcomes")
+      .field("submitted", st.submitted)
+      .field("admitted", st.admitted)
+      .field("placed", st.placed)
+      .field("completed", st.completed)
+      .field("rejected", st.rejected)
+      .field("timed_out", st.timed_out)
+      .field("conflicts", st.conflicts)
+      .field("infeasible_attempts", st.infeasible_attempts)
+      .end();
+  w.object("headline")
+      .field("contract",
+             "pooled and serial scheduler runs bit-identical on the 10k-host "
+             "fat-tree; sustained placement throughput with finite tail "
+             "latency")
+      .field("placements_per_sec", pooled.placements_per_sec(), "%.1f")
+      .field("placement_p50_ms", percentile(pooled.latencies, 0.50) * 1e3,
+             "%.3f")
+      .field("placement_p99_ms", percentile(pooled.latencies, 0.99) * 1e3,
+             "%.3f")
+      .field("identical", identical)
+      .end();
+  w.object("serial")
+      .field("placements_per_sec", serial.placements_per_sec(), "%.1f")
+      .field("wall_seconds", serial.wall_seconds, "%.3f")
+      .end();
+  w.array("tenants");
+  for (const auto& [tenant, row] : pooled.tenants)
+    w.object(nullptr, true)
+        .field("tenant", tenant)
+        .field("placed", row.placed)
+        .field("full", row.full)
+        .field("smoothed", row.smoothed)
+        .field("prior", row.prior)
+        .field("mean_wait_s",
+               row.placed > 0 ? row.wait_sum / row.placed : 0.0, "%.2f")
+        .end();
+  w.end();
+  return w.close();
 }
 
 }  // namespace
@@ -477,46 +407,18 @@ int main(int argc, char** argv) {
   bool csv = false;
   bool check = false;
   const char* json_path = nullptr;
-  const char* metrics_path = nullptr;
-  const char* trace_path = nullptr;
-  const char* ts_json_path = nullptr;
-  const char* ts_csv_path = nullptr;
-  const char* job_trace_path = nullptr;
-  int positional = 0;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--csv") == 0) {
-      csv = true;
-    } else if (std::strcmp(argv[i], "--check") == 0) {
-      check = true;
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      threads = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--bench-json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--metrics-json") == 0 && i + 1 < argc) {
-      metrics_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--chrome-trace") == 0 && i + 1 < argc) {
-      trace_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--timeseries-json") == 0 &&
-               i + 1 < argc) {
-      ts_json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--timeseries-csv") == 0 && i + 1 < argc) {
-      ts_csv_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--job-trace") == 0 && i + 1 < argc) {
-      job_trace_path = argv[++i];
-    } else if (positional == 0) {
-      jobs = std::atoi(argv[i]);
-      ++positional;
-    } else {
-      seed = static_cast<std::uint64_t>(std::strtoull(argv[i], nullptr, 10));
-      ++positional;
-    }
-  }
-  if (jobs < 1) {
-    std::fprintf(stderr, "jobs must be >= 1\n");
-    return 1;
-  }
+  bench::ObsExport obs_export;
+  bench::Args args;
+  args.positional("jobs", &jobs, 1)
+      .positional("seed", &seed)
+      .flag("--csv", &csv)
+      .flag("--check", &check)
+      .option("--threads", "N", &threads)
+      .option("--bench-json", "PATH", &json_path);
+  obs_export.declare(args, /*telemetry=*/true);
+  args.parse(argc, argv);
   if (check) return run_check(seed);
-  if (json_path || metrics_path || trace_path) obs::set_enabled(true);
+  obs_export.enable(json_path != nullptr);
 
   std::fprintf(stderr,
                "bench_service: generating 10k-host fat-tree (seed %llu)...\n",
@@ -541,8 +443,9 @@ int main(int argc, char** argv) {
   // reference digest still has to match.
   std::unique_ptr<obs::TimeSeriesRecorder> ts;
   std::unique_ptr<obs::JobTraceRecorder> jt;
-  if (ts_json_path || ts_csv_path) ts = std::make_unique<obs::TimeSeriesRecorder>(1.0);
-  if (job_trace_path) jt = std::make_unique<obs::JobTraceRecorder>();
+  if (obs_export.timeseries_json || obs_export.timeseries_csv)
+    ts = std::make_unique<obs::TimeSeriesRecorder>(1.0);
+  if (obs_export.job_trace) jt = std::make_unique<obs::JobTraceRecorder>();
 
   util::ThreadPool pool(threads);
   std::fprintf(stderr, "bench_service: pooled run (%d workers)...\n",
@@ -561,21 +464,17 @@ int main(int argc, char** argv) {
       "(fft/airshed/mri)\n\n",
       g.node_count(), hosts, jobs, static_cast<unsigned long long>(seed),
       workload_config(seed).arrival_rate);
+  const std::pair<const char*, std::uint64_t> outcomes[] = {
+      {"submitted", st.submitted},
+      {"placed", st.placed},
+      {"completed", st.completed},
+      {"rejected", st.rejected},
+      {"timed out", st.timed_out},
+      {"conflict re-placements", st.conflicts},
+      {"infeasible attempts", st.infeasible_attempts}};
   std::printf("%-26s %12s\n", "outcome", "jobs");
-  std::printf("%-26s %12llu\n", "submitted",
-              static_cast<unsigned long long>(st.submitted));
-  std::printf("%-26s %12llu\n", "placed",
-              static_cast<unsigned long long>(st.placed));
-  std::printf("%-26s %12llu\n", "completed",
-              static_cast<unsigned long long>(st.completed));
-  std::printf("%-26s %12llu\n", "rejected",
-              static_cast<unsigned long long>(st.rejected));
-  std::printf("%-26s %12llu\n", "timed out",
-              static_cast<unsigned long long>(st.timed_out));
-  std::printf("%-26s %12llu\n", "conflict re-placements",
-              static_cast<unsigned long long>(st.conflicts));
-  std::printf("%-26s %12llu\n", "infeasible attempts",
-              static_cast<unsigned long long>(st.infeasible_attempts));
+  for (const auto& [outcome, n] : outcomes)
+    std::printf("%-26s %12llu\n", outcome, static_cast<unsigned long long>(n));
   std::printf(
       "\nplacements/sec %.1f (serial %.1f)   placement latency p50 %.3f ms, "
       "p99 %.3f ms, max %.3f ms\n",
@@ -602,25 +501,12 @@ int main(int argc, char** argv) {
                   row.full, row.smoothed, row.prior,
                   row.placed > 0 ? row.wait_sum / row.placed : 0.0);
   }
-  if (json_path) {
-    int rc = write_bench_json(json_path, seed, jobs, pool.workers(), hosts,
-                              g.node_count(), g.link_count(), pooled, serial,
-                              identical);
-    if (rc != 0) return rc;
-  }
-  if (!write_obs_exports(metrics_path, trace_path, ts.get(), jt.get()))
+  if (json_path && write_bench_json(json_path, seed, jobs, pool.workers(),
+                                    hosts, g.node_count(), g.link_count(),
+                                    pooled, serial, identical))
     return 1;
-  bool artifacts_ok = true;
-  if (ts) {
-    artifacts_ok &= write_artifact(
-        ts_json_path, [&](std::ostream& f) { ts->write_json(f); });
-    artifacts_ok &= write_artifact(
-        ts_csv_path, [&](std::ostream& f) { ts->write_csv(f); });
-  }
-  if (jt)
-    artifacts_ok &= write_artifact(
-        job_trace_path, [&](std::ostream& f) { jt->write_jsonl(f); });
-  if (!artifacts_ok) return 1;
+  sched::register_scheduler_metrics();
+  if (!obs_export.write(ts.get(), jt.get())) return 1;
   if (!identical) return 2;
   return st.placed > 0 ? 0 : 2;
 }

@@ -4,8 +4,7 @@
 // unloaded reference column — printed side by side with the paper's
 // measurements, followed by the "slowdown roughly halved" analysis.
 //
-// Usage: bench_table1 [trials] [seed] [--csv] [--threads N] [--bench-json PATH]
-//                     [--metrics-json PATH] [--chrome-trace PATH]
+// Usage: bench_table1 [trials] [seed] [flags]
 // Defaults: 25 trials, seed 1999, serial execution.
 //   --threads N      run the grid on an N-worker pool (N < 0: one worker per
 //                    hardware thread). Statistics are bit-identical to the
@@ -14,74 +13,36 @@
 //                    verify the two produce identical statistics, and write
 //                    a BENCH JSON record (wall clock, trials/sec, speedup,
 //                    headline obs counters) to path P. Tables are skipped.
-//   --metrics-json P enable the obs registry and write its JSON document
-//                    (schema netsel-metrics-v1) to P after the run.
-//   --chrome-trace P enable the obs registry and write the recorded spans
-//                    as Chrome trace_event JSON to P (load in Perfetto).
+//   --metrics-json P, --chrome-trace P  write the obs metrics document /
+//                    the Chrome trace of the run (bench/harness.hpp).
 // With --csv, the machine-readable grid is appended after the tables.
 
-#include <chrono>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <thread>
 #include <vector>
 
 #include "api/service.hpp"
 #include "exp/report.hpp"
 #include "exp/table1.hpp"
-#include "obs/export.hpp"
+#include "harness.hpp"
 #include "obs/metrics.hpp"
 
 namespace {
 
 using namespace netsel::exp;
-
-std::uint64_t counter_value(const char* name) {
-  for (const auto& [n, v] : netsel::obs::Registry::global().counters())
-    if (n == name) return v;
-  return 0;
-}
-
-/// Write the requested obs exports; returns false when a path was not
-/// writable. Pre-registers the service metrics so the document always lists
-/// the degradation-ladder counters, even for runs that never placed.
-bool write_obs_exports(const char* metrics_path, const char* trace_path) {
-  netsel::api::register_service_metrics();
-  bool ok = true;
-  if (metrics_path) {
-    std::ofstream f(metrics_path);
-    if (f) {
-      netsel::obs::write_json(netsel::obs::Registry::global(), f);
-      std::fprintf(stderr, "wrote %s\n", metrics_path);
-    } else {
-      std::fprintf(stderr, "cannot open %s for writing\n", metrics_path);
-      ok = false;
-    }
-  }
-  if (trace_path) {
-    std::ofstream f(trace_path);
-    if (f) {
-      netsel::obs::write_chrome_trace(netsel::obs::Registry::global(), f);
-      std::fprintf(stderr, "wrote %s\n", trace_path);
-    } else {
-      std::fprintf(stderr, "cannot open %s for writing\n", trace_path);
-      ok = false;
-    }
-  }
-  return ok;
-}
+namespace bench = netsel::bench;
 
 double time_grid(Table1Options opt, int threads,
-                 std::vector<MeasuredRow>* out) {
+                 std::vector<MeasuredRow>& out) {
   opt.threads = threads;
-  auto t0 = std::chrono::steady_clock::now();
-  auto rows = run_table1(opt);
-  auto t1 = std::chrono::steady_clock::now();
-  if (out) *out = std::move(rows);
-  return std::chrono::duration<double>(t1 - t0).count();
+  const auto t0 = bench::Clock::now();
+  out = run_table1(opt);
+  return bench::seconds_since(t0);
+}
+
+bool same_cell(const MeasuredCell& x, const MeasuredCell& y) {
+  return x.mean == y.mean && x.ci95 == y.ci95 && x.trials == y.trials &&
+         x.failures == y.failures;
 }
 
 bool identical(const std::vector<MeasuredRow>& a,
@@ -89,24 +50,16 @@ bool identical(const std::vector<MeasuredRow>& a,
   if (a.size() != b.size()) return false;
   for (std::size_t r = 0; r < a.size(); ++r) {
     if (a[r].reference != b[r].reference) return false;
-    for (std::size_t c = 0; c < 3; ++c) {
-      const MeasuredCell& x1 = a[r].random_sel[c];
-      const MeasuredCell& y1 = b[r].random_sel[c];
-      const MeasuredCell& x2 = a[r].auto_sel[c];
-      const MeasuredCell& y2 = b[r].auto_sel[c];
-      if (x1.mean != y1.mean || x1.ci95 != y1.ci95 ||
-          x1.trials != y1.trials || x1.failures != y1.failures)
+    for (std::size_t c = 0; c < 3; ++c)
+      if (!same_cell(a[r].random_sel[c], b[r].random_sel[c]) ||
+          !same_cell(a[r].auto_sel[c], b[r].auto_sel[c]))
         return false;
-      if (x2.mean != y2.mean || x2.ci95 != y2.ci95 ||
-          x2.trials != y2.trials || x2.failures != y2.failures)
-        return false;
-    }
   }
   return true;
 }
 
 int bench_json(const Table1Options& opt, int threads, const char* path,
-               const char* metrics_path, const char* trace_path) {
+               const bench::ObsExport& obs_export) {
   unsigned hw = std::thread::hardware_concurrency();
   int pool_threads = threads != 0 ? threads : -1;
   int effective = pool_threads < 0 ? static_cast<int>(hw == 0 ? 1 : hw)
@@ -123,74 +76,62 @@ int bench_json(const Table1Options& opt, int threads, const char* path,
   std::fprintf(stderr, "bench_table1: %d trials/cell, seed %llu — serial...\n",
                opt.trials, static_cast<unsigned long long>(opt.seed));
   std::vector<MeasuredRow> serial_rows, par_rows;
-  double serial_s = time_grid(opt, 0, &serial_rows);
+  double serial_s = time_grid(opt, 0, serial_rows);
   std::fprintf(stderr, "  serial: %.2fs — now %d threads...\n", serial_s,
                effective);
   // Reset between runs so the exported metrics describe the parallel run
   // alone (otherwise pool counters would sit next to serial-run cache ones).
   netsel::obs::Registry::global().reset();
-  double par_s = time_grid(opt, pool_threads, &par_rows);
+  double par_s = time_grid(opt, pool_threads, par_rows);
   bool same = identical(serial_rows, par_rows);
   double speedup = par_s > 0.0 ? serial_s / par_s : 0.0;
   std::fprintf(stderr, "  %d threads: %.2fs  speedup %.2fx  identical=%s\n",
                effective, par_s, speedup, same ? "true" : "false");
 
-  std::uint64_t row_hits = counter_value("select.ctx.row_hits");
-  std::uint64_t row_misses = counter_value("select.ctx.row_misses");
-  double hit_rate = row_hits + row_misses > 0
-                        ? static_cast<double>(row_hits) /
-                              static_cast<double>(row_hits + row_misses)
-                        : 0.0;
-  std::uint64_t tasks_run = counter_value("pool.tasks_run");
-  std::uint64_t steals = counter_value("pool.steals");
-  std::uint64_t sim_events = counter_value("sim.events");
+  const std::uint64_t row_hits = bench::counter("select.ctx.row_hits");
+  const std::uint64_t row_misses = bench::counter("select.ctx.row_misses");
+  const std::uint64_t sim_events = bench::counter("sim.events");
 
-  std::FILE* f = std::fopen(path, "w");
-  if (!f) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path);
-    return 1;
-  }
-  std::fprintf(f,
-               "{\n"
-               "  \"benchmark\": \"table1\",\n"
-               "  \"hardware_threads\": %u,\n"
-               "  \"grid\": {\n"
-               "    \"apps\": 3,\n"
-               "    \"measured_cells\": 18,\n"
-               "    \"references\": 3,\n"
-               "    \"trials_per_cell\": %d,\n"
-               "    \"total_trials\": %d,\n"
-               "    \"seed\": %llu\n"
-               "  },\n"
-               "  \"serial\": { \"seconds\": %.4f, \"trials_per_sec\": %.2f },\n"
-               "  \"parallel\": { \"threads\": %d, \"seconds\": %.4f, "
-               "\"trials_per_sec\": %.2f },\n"
-               "  \"speedup\": %.3f,\n"
-               "  \"identical_stats\": %s,\n"
-               "  \"metrics\": {\n"
-               "    \"ctx_row_hits\": %llu,\n"
-               "    \"ctx_row_misses\": %llu,\n"
-               "    \"ctx_row_hit_rate\": %.4f,\n"
-               "    \"pool_tasks_run\": %llu,\n"
-               "    \"pool_steals\": %llu,\n"
-               "    \"sim_events\": %llu,\n"
-               "    \"sim_events_per_sec\": %.0f\n"
-               "  }\n"
-               "}\n",
-               hw, opt.trials, total_trials,
-               static_cast<unsigned long long>(opt.seed), serial_s,
-               serial_s > 0.0 ? total_trials / serial_s : 0.0, effective,
-               par_s, par_s > 0.0 ? total_trials / par_s : 0.0, speedup,
-               same ? "true" : "false",
-               static_cast<unsigned long long>(row_hits),
-               static_cast<unsigned long long>(row_misses), hit_rate,
-               static_cast<unsigned long long>(tasks_run),
-               static_cast<unsigned long long>(steals),
-               static_cast<unsigned long long>(sim_events),
-               par_s > 0.0 ? static_cast<double>(sim_events) / par_s : 0.0);
-  std::fclose(f);
-  std::fprintf(stderr, "wrote %s\n", path);
-  if (!write_obs_exports(metrics_path, trace_path)) return 1;
+  bench::JsonWriter w(path, "table1");
+  w.object("grid")
+      .field("apps", 3)
+      .field("measured_cells", 18)
+      .field("references", 3)
+      .field("trials_per_cell", opt.trials)
+      .field("total_trials", total_trials)
+      .field("seed", opt.seed)
+      .end();
+  w.object("serial", true)
+      .field("seconds", serial_s, "%.4f")
+      .field("trials_per_sec", serial_s > 0.0 ? total_trials / serial_s : 0.0,
+             "%.2f")
+      .end();
+  w.object("parallel", true)
+      .field("threads", effective)
+      .field("seconds", par_s, "%.4f")
+      .field("trials_per_sec", par_s > 0.0 ? total_trials / par_s : 0.0,
+             "%.2f")
+      .end();
+  w.field("speedup", speedup, "%.3f").field("identical_stats", same);
+  w.object("metrics")
+      .field("ctx_row_hits", row_hits)
+      .field("ctx_row_misses", row_misses)
+      .field("ctx_row_hit_rate",
+             row_hits + row_misses > 0
+                 ? static_cast<double>(row_hits) /
+                       static_cast<double>(row_hits + row_misses)
+                 : 0.0,
+             "%.4f")
+      .field("pool_tasks_run", bench::counter("pool.tasks_run"))
+      .field("pool_steals", bench::counter("pool.steals"))
+      .field("sim_events", sim_events)
+      .field("sim_events_per_sec",
+             par_s > 0.0 ? static_cast<double>(sim_events) / par_s : 0.0,
+             "%.0f")
+      .end();
+  if (w.close() != 0) return 1;
+  netsel::api::register_service_metrics();
+  if (!obs_export.write()) return 1;
   return same ? 0 : 2;
 }
 
@@ -202,35 +143,17 @@ int main(int argc, char** argv) {
   opt.trials = 25;
   bool csv = false;
   const char* json_path = nullptr;
-  const char* metrics_path = nullptr;
-  const char* trace_path = nullptr;
-  int positional = 0;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--csv") == 0) {
-      csv = true;
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      opt.threads = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--bench-json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--metrics-json") == 0 && i + 1 < argc) {
-      metrics_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--chrome-trace") == 0 && i + 1 < argc) {
-      trace_path = argv[++i];
-    } else if (positional == 0) {
-      opt.trials = std::atoi(argv[i]);
-      ++positional;
-    } else {
-      opt.seed = static_cast<std::uint64_t>(std::atoll(argv[i]));
-      ++positional;
-    }
-  }
-  if (opt.trials < 1) {
-    std::fprintf(stderr, "trials must be >= 1\n");
-    return 1;
-  }
-  if (json_path)
-    return bench_json(opt, opt.threads, json_path, metrics_path, trace_path);
-  if (metrics_path || trace_path) netsel::obs::set_enabled(true);
+  bench::ObsExport obs_export;
+  bench::Args args;
+  args.positional("trials", &opt.trials, 1)
+      .positional("seed", &opt.seed)
+      .flag("--csv", &csv)
+      .option("--threads", "N", &opt.threads)
+      .option("--bench-json", "PATH", &json_path);
+  obs_export.declare(args);
+  args.parse(argc, argv);
+  if (json_path) return bench_json(opt, opt.threads, json_path, obs_export);
+  obs_export.enable();
 
   opt.verbose = true;
   std::printf(
@@ -239,14 +162,12 @@ int main(int argc, char** argv) {
       opt.trials, static_cast<unsigned long long>(opt.seed),
       opt.threads == 0 ? "serial" : "thread-pool");
   auto rows = run_table1(opt);
-  std::fputs("\n", stdout);
-  std::fputs(format_table1(rows).c_str(), stdout);
-  std::fputs("\n", stdout);
-  std::fputs(format_slowdown_summary(rows).c_str(), stdout);
+  std::printf("\n%s\n%s", format_table1(rows).c_str(),
+              format_slowdown_summary(rows).c_str());
   if (csv) {
     std::fputs("\n-- csv --\n", stdout);
     std::fputs(table1_csv(rows).c_str(), stdout);
   }
-  if (!write_obs_exports(metrics_path, trace_path)) return 1;
-  return 0;
+  netsel::api::register_service_metrics();
+  return obs_export.write() ? 0 : 1;
 }

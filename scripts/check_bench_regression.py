@@ -29,7 +29,11 @@ fails when the baseline has no such cell.
 
 Exits non-zero listing every violated rule; prints one line per rule
 otherwise. Missing fields fail loudly — a baseline/bench schema drift must
-not silently disable the gate.
+not silently disable the gate. So do unknown ones: every key path of the
+fresh record must exist in its baseline (list elements collapse to the
+union of their keys, so a smaller fresh grid is a subset of a larger
+baseline), which catches a renamed field before it silently drops out of
+the gate.
 """
 
 import json
@@ -80,6 +84,21 @@ def lookup(doc, path):
     return cur
 
 
+def key_paths(doc, prefix=""):
+    """Every key path of a JSON document, e.g. "headline.cold_seconds";
+    list elements collapse to the union of their keys ("cells[].family")."""
+    paths = set()
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            path = f"{prefix}.{key}" if prefix else key
+            paths.add(path)
+            paths |= key_paths(value, path)
+    elif isinstance(doc, list):
+        for value in doc:
+            paths |= key_paths(value, prefix + "[]")
+    return paths
+
+
 def scale_cell(doc, family, nodes, m):
     """The cells[] entry of a scale record for (family, nodes) at top-level
     m, or None."""
@@ -96,6 +115,11 @@ def check_one(name, fresh_path, baseline_path, tolerance, failures):
         fresh = json.load(f)
     with open(baseline_path) as f:
         baseline = json.load(f)
+    for path in sorted(key_paths(fresh) - key_paths(baseline)):
+        failures.append(
+            f"{name}:{path}: unknown field, schema drift? (the baseline "
+            f"has no such key)"
+        )
     for path, kind, limit in RULES[name]:
         label = f"{name}:{path}"
         if path.startswith("cell:"):

@@ -27,8 +27,8 @@ Profiles pick the required metric set for the producing benchmark:
                     == last, len(deltas) == samples - 1)
 
 Exits non-zero with a message on the first violation. Used by CI after the
-bench smoke runs, and by scripts/bench_table1_json.sh /
-scripts/bench_scale_json.sh / scripts/bench_churn_json.sh.
+bench smoke runs, and by scripts/bench_json.sh on every record it
+regenerates.
 """
 
 import json

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <numeric>
+#include <stdexcept>
 
 #include "obs/metrics.hpp"
 #include "select/context.hpp"
@@ -121,22 +122,31 @@ std::vector<char> group_mask(const topo::TopologyGraph& g,
 
 }  // namespace
 
+void DegradationPolicy::validate() const {
+  if (prior_below > smoothed_below)
+    throw std::invalid_argument(
+        "DegradationPolicy: prior_below must be <= smoothed_below");
+}
+
+DegradationLevel degradation_level(const DegradationPolicy& policy,
+                                   double coverage) {
+  policy.validate();
+  return coverage < policy.prior_below      ? DegradationLevel::Prior
+         : coverage < policy.smoothed_below ? DegradationLevel::Smoothed
+                                            : DegradationLevel::Full;
+}
+
 remos::NetworkSnapshot NodeSelectionService::degraded_snapshot(
     const remos::QueryOptions& query, const DegradationPolicy& policy,
     DegradationLevel& level, remos::QueryQuality& quality) const {
-  if (policy.prior_below > policy.smoothed_below)
-    throw std::invalid_argument(
-        "DegradationPolicy: prior_below must be <= smoothed_below");
+  policy.validate();
   remos::QueryOptions probe = query;
   quality = remos::QueryQuality{};
   probe.quality = &quality;
   auto snap = remos_->snapshot(probe);
   if (query.quality) *query.quality = quality;
 
-  double coverage = quality.coverage();
-  level = coverage < policy.prior_below      ? DegradationLevel::Prior
-          : coverage < policy.smoothed_below ? DegradationLevel::Smoothed
-                                             : DegradationLevel::Full;
+  level = degradation_level(policy, quality.coverage());
   // Every ladder decision is counted here, whichever entry point asked
   // (place, select, or a diagnostic caller).
   service_metrics().degradation(level).inc();

@@ -31,7 +31,17 @@ struct DegradationPolicy {
   /// history window (a sensor silent for a full window answers its
   /// fallback — the per-sensor prior — instead of replaying old samples).
   double smoothed_max_age = 0.0;
+
+  /// Throws std::invalid_argument when prior_below > smoothed_below.
+  void validate() const;
 };
+
+/// The ladder rung for a measurement coverage under `policy`: Prior below
+/// prior_below, Smoothed below smoothed_below, Full otherwise. Validates the
+/// policy first. The one coverage-to-rung mapping: NodeSelectionService and
+/// sched::SchedulerService both decide through it.
+DegradationLevel degradation_level(const DegradationPolicy& policy,
+                                   double coverage);
 
 struct ServiceOptions {
   /// Criterion override; unset -> chosen from the app pattern

@@ -157,6 +157,7 @@ SchedulerService::~SchedulerService() = default;
 
 void SchedulerService::set_tenant_policy(const std::string& tenant,
                                          TenantPolicy policy) {
+  policy.degradation.validate();
   tenants_[tenant] = std::move(policy);
 }
 
@@ -326,9 +327,7 @@ api::DegradationLevel SchedulerService::ladder_level(
   api::DegradationPolicy policy;  // default thresholds for unknown tenants
   auto it = tenants_.find(tenant);
   if (it != tenants_.end()) policy = it->second.degradation;
-  if (coverage_ >= policy.smoothed_below) return api::DegradationLevel::Full;
-  if (coverage_ >= policy.prior_below) return api::DegradationLevel::Smoothed;
-  return api::DegradationLevel::Prior;
+  return api::degradation_level(policy, coverage_);
 }
 
 select::SelectionOptions SchedulerService::job_options(

@@ -251,7 +251,8 @@ class SchedulerService {
   const topo::TopologyGraph& graph() const { return *graph_; }
 
   /// Register (or replace) a tenant's policy. Unknown tenants run under
-  /// TenantPolicy{}.
+  /// TenantPolicy{}. Throws std::invalid_argument on an inverted degradation
+  /// policy (prior_below > smoothed_below), as api::NodeSelectionService does.
   void set_tenant_policy(const std::string& tenant, TenantPolicy policy);
 
   /// Cluster measurement coverage consulted by the degradation ladder

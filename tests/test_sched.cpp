@@ -11,6 +11,8 @@
 
 #include <algorithm>
 #include <set>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -300,6 +302,47 @@ TEST(SchedulerService, LadderFollowsTenantPolicyAndCoverage) {
   EXPECT_EQ(sched.job(full_id).state, JobState::Running);
   EXPECT_EQ(sched.job(blocked_id).state, JobState::Queued);
   EXPECT_GT(sched.job(blocked_id).infeasible_attempts, 0);
+}
+
+// The scheduler and api::NodeSelectionService share one coverage-to-rung
+// mapping: a coverage equal to a threshold stays on the upper rung, and an
+// inverted policy (prior_below > smoothed_below) is rejected up front
+// instead of silently mapping coverages differently from the api.
+TEST(SchedulerService, LadderBoundariesAndInvertedPolicy) {
+  auto g = small_fabric(43);
+  SchedulerService sched(g);
+  TenantPolicy policy;
+  policy.degradation.smoothed_below = 0.7;
+  policy.degradation.prior_below = 0.4;
+  sched.set_tenant_policy("t", policy);
+
+  JobSpec spec;
+  spec.nodes = 2;
+  spec.duration = 5.0;
+  spec.tenant = "t";
+  const std::pair<double, api::DegradationLevel> cases[] = {
+      {0.7, api::DegradationLevel::Full},
+      {0.4, api::DegradationLevel::Smoothed},
+      {0.39, api::DegradationLevel::Prior},
+  };
+  double t = 1.0;
+  for (const auto& [coverage, level] : cases) {
+    EXPECT_EQ(api::degradation_level(policy.degradation, coverage), level);
+    sched.set_measurement_coverage(coverage);
+    const std::uint64_t id = sched.submit(spec, t);
+    sched.run_until(t + 1.0);
+    EXPECT_EQ(sched.job(id).state, JobState::Running) << coverage;
+    EXPECT_EQ(sched.job(id).ladder, level) << coverage;
+    t += 10.0;
+  }
+
+  TenantPolicy inverted;
+  inverted.degradation.smoothed_below = 0.3;
+  inverted.degradation.prior_below = 0.8;
+  EXPECT_THROW(sched.set_tenant_policy("inverted", inverted),
+               std::invalid_argument);
+  EXPECT_THROW(api::degradation_level(inverted.degradation, 0.5),
+               std::invalid_argument);
 }
 
 // A rebalance whose reselect comes back kept_current (the unconstrained
