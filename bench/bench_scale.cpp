@@ -1,14 +1,11 @@
 // Scalability of the selection stack on synthetic datacenter topologies
 // (topo/synthetic.hpp): a grid of topology family x node count x criterion,
 // timing each selection cold (fresh SelectionContext: deletion orders and
-// components built during the call) and warm (orders cached), with
-// dominated-candidate pruning on vs off, asserting the two produce
-// bit-identical selections. On top of the grid:
+// components built during the call) and warm (orders cached), and aborting
+// if a warm rerun does not repeat the cold selection. On top of the grid:
 //
 //   * with --huge, a ~1,000,000-host three-level fat-tree cell (balanced
-//     criterion only) that becomes the headline, plus a pooled-scoring
-//     rerun (SelectionContext::set_pool) asserting the threaded selection
-//     matches the serial one;
+//     criterion only) that becomes the headline;
 //   * peak-RSS accounting in the JSON record.
 //
 // Headline contract (tracked in BENCH_scale.json and checked in CI):
@@ -20,15 +17,13 @@
 //   --m M            selection size for every cell (the paper's m).
 //   --huge           add the ~1M-host three-level fat-tree cell (balanced
 //                    only; the other criteria stay on the grid sizes).
-//   --threads N      pool workers for the --huge pooled rerun (N <= 0: 4);
-//                    selection itself is always timed single-threaded.
-//   --check          CI smoke: run a reduced grid once and exit non-zero if
-//                    any pruned selection differs from its unpruned twin or
-//                    any generator output fails to round-trip through the
-//                    .topo serialiser. Tables are skipped.
+//   --check          CI smoke: run a reduced grid at two reps per cell (the
+//                    warm rerun must repeat the cold selection) and exit
+//                    non-zero if any generator output fails to round-trip
+//                    through the .topo serialiser. Tables are skipped.
 //   --csv            append the machine-readable grid after the table.
 //   --bench-json P   write the perf record (per-cell timings, headline,
-//                    pooled rerun, memory, counters) to P.
+//                    memory, counters) to P.
 //   --metrics-json P, --chrome-trace P  write the obs metrics document /
 //                    the Chrome trace of the run (bench/harness.hpp).
 
@@ -37,7 +32,6 @@
 #include <cstdio>
 #include <cstring>
 #include <limits>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -49,7 +43,6 @@
 #include "select/context.hpp"
 #include "topo/parse.hpp"
 #include "topo/synthetic.hpp"
-#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -147,10 +140,8 @@ bool same_selection(const select::SelectionResult& a,
 
 struct CriterionTiming {
   select::Criterion criterion;
-  double cold_seconds = 0.0;   // first call on a fresh context, pruned
-  double warm_seconds = 0.0;   // mean of the remaining reps, pruned
-  double naive_seconds = 0.0;  // cold call with pruning disabled
-  bool identical = false;
+  double cold_seconds = 0.0;  // first call on a fresh context
+  double warm_seconds = 0.0;  // mean of the remaining reps
 };
 
 struct CellResult {
@@ -177,7 +168,7 @@ CellResult run_cell(const CaseSpec& spec, std::uint64_t seed, int m,
     opt.num_nodes = m;
     CriterionTiming t;
     t.criterion = c;
-    select::SelectionResult pruned;
+    select::SelectionResult first;
     if (spec.balanced_only) {
       // The huge cell: every rep is a fresh context (all cold — the
       // contract is about cold selections), best taken so one noisy
@@ -189,79 +180,30 @@ CellResult run_cell(const CaseSpec& spec, std::uint64_t seed, int m,
         auto again = select::select_nodes(c, ctx, opt);
         t.cold_seconds = std::min(t.cold_seconds, seconds_since(t0));
         if (r == 0)
-          pruned = std::move(again);
-        else if (!same_selection(pruned, again))
+          first = std::move(again);
+        else if (!same_selection(first, again))
           std::abort();
       }
       t.warm_seconds = t.cold_seconds;
     } else {
       select::SelectionContext ctx(snap);
       auto t0 = Clock::now();
-      pruned = select::select_nodes(c, ctx, opt);
+      first = select::select_nodes(c, ctx, opt);
       t.cold_seconds = seconds_since(t0);
       if (reps > 1) {
         auto t1 = Clock::now();
         for (int r = 1; r < reps; ++r) {
           auto again = select::select_nodes(c, ctx, opt);
-          if (!same_selection(pruned, again)) std::abort();
+          if (!same_selection(first, again)) std::abort();
         }
         t.warm_seconds = seconds_since(t1) / (reps - 1);
       } else {
         t.warm_seconds = t.cold_seconds;
       }
     }
-    {
-      select::SelectionOptions naive = opt;
-      naive.prune_dominated = false;
-      select::SelectionContext ctx(snap);
-      auto t0 = Clock::now();
-      auto unpruned = select::select_nodes(c, ctx, naive);
-      t.naive_seconds = seconds_since(t0);
-      t.identical = same_selection(pruned, unpruned);
-    }
     out.timings.push_back(t);
   }
   return out;
-}
-
-// ------------------------------------------------------------- pooled rerun
-
-/// Balanced selection on the --huge cell with the context's scoring loops
-/// on a pool (SelectionContext::set_pool) vs a serial rerun. The chunked
-/// fills are index-deterministic, so the selections must match.
-struct PooledSelect {
-  int workers = 0;
-  double serial_seconds = 0.0;
-  double pool_seconds = 0.0;
-  bool identical = true;
-};
-
-PooledSelect time_pooled_select(const CaseSpec& spec, std::uint64_t seed,
-                                int m, int threads) {
-  obs::Span span("scale.pooled_select", "bench");
-  remos::NetworkSnapshot snap(spec.graph);
-  remos::apply_synthetic_load(snap, seed + 7);
-  select::SelectionOptions opt;
-  opt.num_nodes = m;
-  PooledSelect r;
-  select::SelectionResult serial;
-  {
-    select::SelectionContext ctx(snap);
-    auto t0 = Clock::now();
-    serial = select::select_nodes(select::Criterion::Balanced, ctx, opt);
-    r.serial_seconds = seconds_since(t0);
-  }
-  {
-    util::ThreadPool pool(threads);
-    r.workers = pool.workers();
-    select::SelectionContext ctx(snap);
-    ctx.set_pool(&pool);
-    auto t0 = Clock::now();
-    auto pooled = select::select_nodes(select::Criterion::Balanced, ctx, opt);
-    r.pool_seconds = seconds_since(t0);
-    r.identical = same_selection(serial, pooled);
-  }
-  return r;
 }
 
 int run_check(std::uint64_t seed, int m) {
@@ -277,17 +219,7 @@ int run_check(std::uint64_t seed, int m) {
                    spec.family);
       rc = 2;
     }
-    auto cell = run_cell(spec, seed, m, 1);
-    for (const CriterionTiming& t : cell.timings) {
-      if (!t.identical) {
-        std::fprintf(stderr,
-                     "CHECK FAILED: %s (%zu nodes) %s: pruned selection "
-                     "differs from unpruned\n",
-                     spec.family, spec.graph.node_count(),
-                     select::criterion_name(t.criterion));
-        rc = 2;
-      }
-    }
+    run_cell(spec, seed, m, 2);
   }
   std::fprintf(stderr, rc == 0 ? "check: OK\n" : "check: FAILED\n");
   return rc;
@@ -296,7 +228,7 @@ int run_check(std::uint64_t seed, int m) {
 int write_bench_json(const char* path, std::uint64_t seed, int m, int reps,
                      const std::vector<CellResult>& cells,
                      const CriterionTiming* headline,
-                     const CaseSpec* headline_spec, const PooledSelect* ps) {
+                     const CaseSpec* headline_spec) {
   bench::JsonWriter w(path, "scale");
   w.field("seed", seed).field("m", m).field("reps", reps).array("cells");
   for (const CellResult& cell : cells) {
@@ -311,8 +243,6 @@ int write_bench_json(const char* path, std::uint64_t seed, int m, int reps,
       w.object(select::criterion_name(t.criterion), true)
           .field("cold_seconds", t.cold_seconds, "%.5f")
           .field("warm_seconds", t.warm_seconds, "%.5f")
-          .field("unpruned_cold_seconds", t.naive_seconds, "%.5f")
-          .field("identical", t.identical)
           .end();
     w.end().end();
   }
@@ -331,16 +261,8 @@ int write_bench_json(const char* path, std::uint64_t seed, int m, int reps,
         .field("within_target", headline->cold_seconds < 1.0)
         .end();
   }
-  if (ps)
-    w.object("pooled_balanced")
-        .field("workers", ps->workers)
-        .field("serial_cold_seconds", ps->serial_seconds, "%.5f")
-        .field("pool_cold_seconds", ps->pool_seconds, "%.5f")
-        .field("identical", ps->identical)
-        .end();
   w.object("memory").field("peak_rss_bytes", bench::peak_rss_bytes()).end();
   w.object("metrics")
-      .field("prune_dropped", bench::counter("select.prune.dropped"))
       .field("ctx_row_misses", bench::counter("select.ctx.row_misses"))
       .end();
   return w.close();
@@ -351,7 +273,6 @@ int write_bench_json(const char* path, std::uint64_t seed, int m, int reps,
 int main(int argc, char** argv) {
   int reps = 3;
   std::uint64_t seed = 4242;
-  int threads = -1;
   int m = 16;
   bool csv = false;
   bool check = false;
@@ -364,7 +285,6 @@ int main(int argc, char** argv) {
       .flag("--csv", &csv)
       .flag("--check", &check)
       .flag("--huge", &huge)
-      .option("--threads", "N", &threads)
       .option("--m", "M", &m, 1)
       .option("--bench-json", "PATH", &json_path);
   obs_export.declare(args);
@@ -378,26 +298,21 @@ int main(int argc, char** argv) {
 
   std::printf(
       "== Selection at scale: synthetic fabrics, m=%d, %d reps, seed %llu ==\n"
-      "   cold = fresh context; warm = cached deletion orders;\n"
-      "   unpruned = cold with dominated-candidate pruning disabled\n\n"
-      "%-18s %8s %8s %8s  %-14s %9s %9s %9s  %s\n",
+      "   cold = fresh context; warm = cached deletion orders\n\n"
+      "%-18s %8s %8s %8s  %-14s %9s %9s\n",
       m, reps, static_cast<unsigned long long>(seed), "family", "nodes",
-      "links", "hosts", "criterion", "cold_ms", "warm_ms", "unpr_ms", "same");
+      "links", "hosts", "criterion", "cold_ms", "warm_ms");
   std::vector<CellResult> cells;
   const CriterionTiming* headline = nullptr;
   const CaseSpec* headline_spec = nullptr;
-  bool all_identical = true;
   for (const CaseSpec& spec : cases) {
     cells.push_back(run_cell(spec, seed, m, reps));
     const CellResult& cell = cells.back();
     for (const CriterionTiming& t : cell.timings) {
-      std::printf("%-18s %8zu %8zu %8d  %-14s %9.2f %9.2f %9.2f  %s\n",
-                  spec.family, spec.graph.node_count(),
-                  spec.graph.link_count(), spec.hosts,
-                  select::criterion_name(t.criterion), t.cold_seconds * 1e3,
-                  t.warm_seconds * 1e3, t.naive_seconds * 1e3,
-                  t.identical ? "yes" : "NO");
-      all_identical = all_identical && t.identical;
+      std::printf("%-18s %8zu %8zu %8d  %-14s %9.2f %9.2f\n", spec.family,
+                  spec.graph.node_count(), spec.graph.link_count(),
+                  spec.hosts, select::criterion_name(t.criterion),
+                  t.cold_seconds * 1e3, t.warm_seconds * 1e3);
       if (t.criterion == select::Criterion::Balanced &&
           std::strncmp(spec.family, "fat_tree", 8) == 0 &&
           (!headline_spec ||
@@ -405,25 +320,6 @@ int main(int argc, char** argv) {
         headline = &t;
         headline_spec = &spec;
       }
-    }
-  }
-
-  // Pooled-scoring rerun of the headline balanced selection (--huge only:
-  // at grid sizes the fills are under the parallel cut-over anyway).
-  std::optional<PooledSelect> ps;
-  if (huge) {
-    const CaseSpec* huge_spec = nullptr;
-    for (const CaseSpec& spec : cases)
-      if (spec.balanced_only) huge_spec = &spec;
-    if (huge_spec) {
-      ps = time_pooled_select(*huge_spec, seed, m, threads > 0 ? threads : 4);
-      std::printf(
-          "pooled balanced on %zu-node fat_tree_3l: serial %.1f ms, "
-          "%d workers %.1f ms%s\n",
-          huge_spec->graph.node_count(), ps->serial_seconds * 1e3,
-          ps->workers, ps->pool_seconds * 1e3,
-          ps->identical ? "" : "  IDENTITY FAILED");
-      all_identical = all_identical && ps->identical;
     }
   }
 
@@ -440,14 +336,14 @@ int main(int argc, char** argv) {
                   (1024.0 * 1024.0));
   if (csv) {
     std::printf("\n-- csv --\nfamily,nodes,links,hosts,criterion,cold_s,"
-                "warm_s,unpruned_cold_s,identical\n");
+                "warm_s\n");
     for (const CellResult& cell : cells)
       for (const CriterionTiming& t : cell.timings)
-        std::printf("%s,%zu,%zu,%d,%s,%.5f,%.5f,%.5f,%d\n",
-                    cell.spec->family, cell.spec->graph.node_count(),
+        std::printf("%s,%zu,%zu,%d,%s,%.5f,%.5f\n", cell.spec->family,
+                    cell.spec->graph.node_count(),
                     cell.spec->graph.link_count(), cell.spec->hosts,
                     select::criterion_name(t.criterion), t.cold_seconds,
-                    t.warm_seconds, t.naive_seconds, t.identical ? 1 : 0);
+                    t.warm_seconds);
   }
   // Export the process footprint alongside the context gauges so the
   // metrics document carries it too (scale profile of
@@ -455,13 +351,12 @@ int main(int argc, char** argv) {
   obs::Registry::global()
       .gauge("proc.peak_rss_bytes")
       .set(static_cast<double>(bench::peak_rss_bytes()));
-  if (json_path && write_bench_json(json_path, seed, m, reps, cells, headline,
-                                    headline_spec, ps ? &*ps : nullptr))
+  if (json_path && write_bench_json(json_path, seed, m, reps, cells,
+                                    headline, headline_spec))
     return 1;
   // Pre-register the service metrics so the exported document carries the
   // full schema (scripts/check_metrics_json.py requires the degradation
   // ladder), even though this benchmark never places through the service.
   api::register_service_metrics();
-  if (!obs_export.write()) return 1;
-  return all_identical ? 0 : 2;
+  return obs_export.write() ? 0 : 1;
 }

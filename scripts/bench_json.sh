@@ -14,7 +14,7 @@ cd "$(dirname "$0")/.."
 BENCH="${1:-}"
 case "$BENCH" in
   table1) DEFAULT=(25 1999 --threads -1) ;;
-  scale) DEFAULT=(3 4242 --m 64 --huge --threads -1) ;;
+  scale) DEFAULT=(3 4242 --m 64 --huge) ;;
   churn) DEFAULT=(3 4242) ;;
   service) DEFAULT=(300 4242) ;;
   exact) DEFAULT=(--budget 20000) ;;

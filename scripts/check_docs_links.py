@@ -12,7 +12,7 @@ Scans the repo's committed *.md files (top level, docs/, .github/) for
     Markdown file. Anchors are derived from headings the way GitHub does
     it: lowercase, punctuation stripped, spaces to hyphens, duplicate
     headings suffixed -1, -2, ...;
-  * backtick references like `src/select/prune.hpp`, `docs/TOPO_FORMAT.md`
+  * backtick references like `src/select/bnb.hpp`, `docs/TOPO_FORMAT.md`
     or `scripts/check_docs_links.py` — single-token paths with a known
     directory prefix and file extension must exist.
 

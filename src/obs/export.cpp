@@ -1,49 +1,19 @@
 #include "obs/export.hpp"
 
+#include "obs/encode.hpp"
 #include "obs/jobtrace.hpp"
 #include "obs/timeseries.hpp"
 
-#include <cmath>
-#include <cstdio>
+#include <algorithm>
 #include <ostream>
 #include <sstream>
 
 namespace netsel::obs {
 
+using detail::num;
+using detail::quoted;
+
 namespace {
-
-/// Shortest round-trip double rendering that is always valid JSON (no inf /
-/// nan — callers keep those out; clamp defensively anyway).
-std::string num(double v) {
-  if (!std::isfinite(v)) return "0";
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
-
-std::string quoted(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  out.push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
-  return out;
-}
 
 void write_histogram_body(const Registry::HistogramView& h, std::ostream& os) {
   os << "{\"bounds\":[";

@@ -1,69 +1,23 @@
 #include "obs/jobtrace.hpp"
 
-#include <cmath>
-#include <cstdio>
-#include <cstring>
 #include <ostream>
 #include <stdexcept>
 
+#include "obs/encode.hpp"
 #include "obs/metrics.hpp"
 
 namespace netsel::obs {
 
+using detail::fnv1a;
+using detail::fnv1a_double;
+using detail::fnv1a_str;
+using detail::num;
+using detail::quoted;
+
 namespace {
 
-std::string num(double v) {
-  if (!std::isfinite(v)) return "-1";
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
-
-std::string quoted(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  out.push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
-  return out;
-}
-
-std::uint64_t fnv1a(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (i * 8)) & 0xffu;
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-std::uint64_t fnv1a_double(std::uint64_t h, double d) {
-  std::uint64_t bits;
-  std::memcpy(&bits, &d, sizeof(bits));
-  return fnv1a(h, bits);
-}
-
-std::uint64_t fnv1a_str(std::uint64_t h, const std::string& s) {
-  for (char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
+/// Non-finite span times render as -1, the open-span sentinel.
+constexpr char kOpen[] = "-1";
 
 struct TraceMetrics {
   Counter& traces;
@@ -152,8 +106,8 @@ void JobTraceRecorder::write_jsonl(std::ostream& os) const {
                  ? std::string("-1")
                  : std::to_string(s.parent))
          << ",\"name\":" << quoted(s.name)
-         << ",\"sim_begin\":" << num(s.sim_begin)
-         << ",\"sim_end\":" << num(s.sim_end);
+         << ",\"sim_begin\":" << num(s.sim_begin, kOpen)
+         << ",\"sim_end\":" << num(s.sim_end, kOpen);
       if (!s.args.empty()) {
         os << ",\"args\":{";
         for (std::size_t a = 0; a < s.args.size(); ++a)
@@ -179,8 +133,8 @@ void JobTraceRecorder::write_chrome_events(std::ostream& os) const {
       const double end = s.sim_end < begin ? begin : s.sim_end;
       os << ",\n{\"ph\":\"X\",\"pid\":3,\"tid\":" << id
          << ",\"name\":" << quoted(s.name)
-         << ",\"cat\":\"job\",\"ts\":" << num(begin * 1e6)
-         << ",\"dur\":" << num((end - begin) * 1e6) << ",\"args\":{";
+         << ",\"cat\":\"job\",\"ts\":" << num(begin * 1e6, kOpen)
+         << ",\"dur\":" << num((end - begin) * 1e6, kOpen) << ",\"args\":{";
       bool first = true;
       for (const auto& [k, v] : s.args) {
         os << (first ? "" : ",") << quoted(k) << ":" << quoted(v);

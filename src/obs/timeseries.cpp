@@ -1,46 +1,20 @@
 #include "obs/timeseries.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdio>
-#include <cstring>
 #include <ostream>
 #include <stdexcept>
 
+#include "obs/encode.hpp"
 #include "obs/metrics.hpp"
 
 namespace netsel::obs {
 
+using detail::fnv1a;
+using detail::fnv1a_double;
+using detail::fnv1a_str;
+using detail::num;
+
 namespace {
-
-std::string num(double v) {
-  if (!std::isfinite(v)) return "0";
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
-
-std::uint64_t fnv1a(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (i * 8)) & 0xffu;
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-std::uint64_t fnv1a_double(std::uint64_t h, double d) {
-  std::uint64_t bits;
-  std::memcpy(&bits, &d, sizeof(bits));
-  return fnv1a(h, bits);
-}
-
-std::uint64_t fnv1a_str(std::uint64_t h, const std::string& s) {
-  for (char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
 
 struct TsMetrics {
   Counter& samples;

@@ -55,10 +55,8 @@
 #include "select/detail.hpp"
 #include "select/objective.hpp"
 #include "select/obs.hpp"
-#include "select/prune.hpp"
 #include "select/reference.hpp"
 #include "topo/connectivity.hpp"
-#include "util/thread_pool.hpp"
 
 namespace netsel::select {
 
@@ -180,10 +178,6 @@ SelectionResult select_balanced_forest(const SelectionContext& ctx,
   const int m = opt.num_nodes;
 
   auto elig = ctx.eligibility(opt);
-  // Feasibility (ForestNode::eligible, feasible_live) uses the full eligible
-  // set; the top-m ranking lists drop dominated candidates
-  // (winner-preserving, see select/prune.hpp).
-  const auto cand = dominated_candidate_mask(snap, opt, elig);
 
   // The active deletion sequence: links ascending by (fraction, id) — the
   // order min_fraction_link produces — minus those failing the fixed
@@ -192,19 +186,9 @@ SelectionResult select_balanced_forest(const SelectionContext& ctx,
   // fractions rather than reusing the absolute-bandwidth order (two
   // bandwidths may round to equal fractions, where the id tie-break kicks
   // in).
-  // Per-link/per-node key fills: pure per-index writes into pre-sized
-  // vectors, so the optional pooled fill (ctx.set_pool) is bit-identical to
-  // the serial loop at any thread count.
-  util::ThreadPool* pp = ctx.pool();
   std::vector<double> frac(g.link_count());
-  auto fill_frac = [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t l = lo; l < hi; ++l)
-      frac[l] = link_fraction(snap, static_cast<topo::LinkId>(l), opt);
-  };
-  if (pp && frac.size() >= 8192)
-    util::parallel_for_chunked(*pp, frac.size(), 4096, fill_frac);
-  else
-    fill_frac(0, frac.size());
+  for (std::size_t l = 0; l < frac.size(); ++l)
+    frac[l] = link_fraction(snap, static_cast<topo::LinkId>(l), opt);
   std::vector<topo::LinkId> seq;
   seq.reserve(g.link_count());
   if (opt.reference_bw > 0.0) {
@@ -217,7 +201,7 @@ SelectionResult select_balanced_forest(const SelectionContext& ctx,
                               frac[static_cast<std::size_t>(b)];
                      });
   } else {
-    seq = ctx.links_by_fraction(opt);
+    seq = ctx.links_by_bwfactor();
   }
   if (opt.min_bw_bps > 0.0) {
     std::erase_if(seq, [&](topo::LinkId l) {
@@ -230,14 +214,8 @@ SelectionResult select_balanced_forest(const SelectionContext& ctx,
   // nodes are ever ranked, the rest stay 0.
   const std::size_t V = g.node_count();
   std::vector<double> cpu(V, 0.0);
-  auto fill_cpu = [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t n = lo; n < hi; ++n)
-      if (elig[n]) cpu[n] = node_cpu(snap, static_cast<topo::NodeId>(n), opt);
-  };
-  if (pp && V >= 8192)
-    util::parallel_for_chunked(*pp, V, 4096, fill_cpu);
-  else
-    fill_cpu(0, V);
+  for (std::size_t n = 0; n < V; ++n)
+    if (elig[n]) cpu[n] = node_cpu(snap, static_cast<topo::NodeId>(n), opt);
 
   // Reverse replay: insert links back-to-front. A merge records the newborn
   // component (split_at[p] is the forest node forward step p splits into its
@@ -264,7 +242,7 @@ SelectionResult select_balanced_forest(const SelectionContext& ctx,
     fn.eligible = elig[i] ? 1 : 0;
     fn.min_id = fn.leaf;
     fn.top_off = static_cast<std::int64_t>(top_pool.size());
-    if (cand[i]) {
+    if (elig[i]) {
       top_pool.push_back(fn.leaf);
       fn.top_len = 1;
     }

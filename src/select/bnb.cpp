@@ -15,7 +15,6 @@
 #include "select/context.hpp"
 #include "select/objective.hpp"
 #include "select/obs.hpp"
-#include "select/prune.hpp"
 
 namespace netsel::select {
 
@@ -467,7 +466,78 @@ struct Search {
   }
 };
 
+/// Attachment groups above this size skip the quadratic dominator count.
+constexpr std::size_t kMaxLeafGroup = 4096;
+
+struct Leaf {
+  topo::NodeId node;
+  double bw;
+  double frac;
+  double cpu;
+};
+
 }  // namespace
+
+std::vector<char> exact_dominated_candidate_mask(
+    const remos::NetworkSnapshot& snap, const SelectionOptions& opt,
+    const std::vector<char>& eligible) {
+  std::vector<char> cand = eligible;
+  const auto m = static_cast<std::size_t>(opt.num_nodes);
+  const auto& g = snap.graph();
+  const std::size_t V = g.node_count();
+  // Eligible degree-1 hosts bucketed by attachment node (count, prefix,
+  // fill): anchor a's hosts are leaves[head[a] .. head[a+1]), in id order.
+  std::vector<std::int32_t> head(V + 1, 0);
+  for (std::size_t i = 0; i < eligible.size(); ++i) {
+    if (!eligible[i]) continue;
+    auto n = static_cast<topo::NodeId>(i);
+    auto links = g.links_of(n);
+    if (links.size() != 1) continue;
+    ++head[static_cast<std::size_t>(g.other_end(links[0], n)) + 1];
+  }
+  auto prunable = [&](std::size_t size) {
+    return size > m && size <= kMaxLeafGroup;
+  };
+  // The key lookups below are the expensive part: skip them when no group
+  // can drop anything.
+  bool any_prunable = false;
+  for (std::size_t a = 1; a <= V && !any_prunable; ++a)
+    any_prunable = prunable(static_cast<std::size_t>(head[a]));
+  if (!any_prunable) return cand;
+  for (std::size_t a = 0; a < V; ++a) head[a + 1] += head[a];
+  std::vector<Leaf> leaves(static_cast<std::size_t>(head[V]));
+  std::vector<std::int32_t> cursor(head.begin(), head.end() - 1);
+  for (std::size_t i = 0; i < eligible.size(); ++i) {
+    if (!eligible[i]) continue;
+    auto n = static_cast<topo::NodeId>(i);
+    auto links = g.links_of(n);
+    if (links.size() != 1) continue;
+    const topo::LinkId l = links[0];
+    const auto anchor = static_cast<std::size_t>(g.other_end(l, n));
+    leaves[static_cast<std::size_t>(cursor[anchor]++)] = {
+        n, snap.bw(l), link_fraction(snap, l, opt), node_cpu(snap, n, opt)};
+  }
+  for (std::size_t a = 0; a < V; ++a) {
+    const auto lo = static_cast<std::size_t>(head[a]);
+    const auto hi = static_cast<std::size_t>(head[a + 1]);
+    if (!prunable(hi - lo)) continue;
+    // A host's potential dominators (strictly lower id) are exactly its
+    // prefix of the group.
+    for (std::size_t r = lo + m; r < hi; ++r) {
+      const Leaf& b = leaves[r];
+      std::size_t dominators = 0;
+      for (std::size_t q = lo; q < r && dominators < m; ++q) {
+        const Leaf& d = leaves[q];
+        // Weak dominance on every key suffices: with a lower id the swap
+        // is value-preserving *and* lexicographically improving, so ties
+        // are prunable.
+        if (d.cpu >= b.cpu && d.bw >= b.bw && d.frac >= b.frac) ++dominators;
+      }
+      if (dominators >= m) cand[static_cast<std::size_t>(b.node)] = 0;
+    }
+  }
+  return cand;
+}
 
 const char* bnb_stop_name(BnbStop s) {
   switch (s) {

@@ -110,6 +110,22 @@ class BranchAndBoundSelector {
   const SelectionContext* ctx_;
 };
 
+/// Candidate mask of the exact search: a copy of `eligible` (one entry per
+/// node, as returned by SelectionContext::eligibility) with every host
+/// cleared that cannot appear in the brute-force answer. A degree-1 host B
+/// is cleared when at least m eligible degree-1 hosts A on the same
+/// attachment node have a *strictly lower node id* and weakly dominate B on
+/// every objective key (available bw and fraction of their access links,
+/// cpu): swapping B out for an unused dominator then never decreases any
+/// pairwise bottleneck or the cpu minimum (the BFS paths beyond the shared
+/// switch are identical) and always produces a lexicographically smaller
+/// set. Applies for every m >= 1 (subset semantics have no per-component
+/// feasibility rule). Attachment groups larger than 4096 hosts are left
+/// unpruned rather than pay the quadratic dominator count.
+std::vector<char> exact_dominated_candidate_mask(
+    const remos::NetworkSnapshot& snap, const SelectionOptions& opt,
+    const std::vector<char>& eligible);
+
 /// Convenience wrappers mirroring the greedy entry points.
 BnbResult branch_and_bound_select(const SelectionContext& ctx,
                                   const SelectionOptions& opt, Criterion c);

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "obs/metrics.hpp"
-#include "util/thread_pool.hpp"
 
 namespace netsel::select {
 
@@ -71,9 +70,6 @@ obs::Histogram& csr_patch_hist() {
       "select.ctx.csr_patch_s", obs::exp_buckets(1e-7, 4.0, 12));
   return h;
 }
-/// Minimum per-chunk work for the pool-parallel scoring fills: below this
-/// the submit overhead beats the loop.
-constexpr std::size_t kScoreChunk = 4096;
 }  // namespace
 
 SelectionContext::SelectionContext(const remos::NetworkSnapshot& snap)
@@ -92,10 +88,6 @@ SelectionContext::SelectionContext(const remos::NetworkSnapshot& snap)
   rows_flushes();
   log_pending_gauge();
   csr_patch_hist();
-  // Owned by prune.cpp, but registered here too: the candidate-count
-  // short-circuit can mean no selection ever reaches the pruner, and the
-  // exported document must still carry the counter at 0.
-  obs::Registry::global().counter("select.prune.dropped");
 }
 
 // ---------------------------------------------------------------------------
@@ -234,8 +226,9 @@ void SelectionContext::catch_up_row(RowEntry& e) const {
   // Only a link's latest entry counts: repairs read the final weights, so
   // one repair covers every change of the link.
   auto pending = [&](std::size_t i) {
-    const auto il = static_cast<std::size_t>(log_[i]);
-    return last_change_[il] == i && il < e.in_tree.size() && e.in_tree[il];
+    const topo::LinkId l = log_[i];
+    return last_change_[static_cast<std::size_t>(l)] == i &&
+           tree_edge(e.row, l);
   };
   // A changed tree link at the source roots a subtree that can span the
   // whole row (a fat-tree host's access link does): one sequential replay
@@ -259,6 +252,13 @@ void SelectionContext::catch_up_row(RowEntry& e) const {
   }
   rows_repaired().inc(repairs);
   e.seen.store(head, std::memory_order_release);
+}
+
+bool SelectionContext::tree_edge(const topo::BottleneckRow& row,
+                                 topo::LinkId l) const {
+  const topo::Link& ln = graph().link(l);
+  return row.tree_link[static_cast<std::size_t>(ln.a)] == l ||
+         row.tree_link[static_cast<std::size_t>(ln.b)] == l;
 }
 
 void SelectionContext::flush_log() const {
@@ -435,7 +435,7 @@ void SelectionContext::apply_link_removed(topo::LinkId l) const {
   // are dropped.
   for (RowSlot& s : rows_) {
     const RowEntry* e = s.get();
-    if (e && il < e->in_tree.size() && e->in_tree[il]) {
+    if (e && tree_edge(e->row, l)) {
       s.reset();
       rows_invalidated_partial().inc();
     }
@@ -488,7 +488,7 @@ void SelectionContext::sync() const {
   (void)link_bw();
   (void)link_bwfactor();
   (void)links_by_bw();
-  (void)links_by_fraction(SelectionOptions{});  // the bwfactor order
+  (void)links_by_bwfactor();
   (void)base_components();
   ensure_row_slots();
 }
@@ -540,9 +540,7 @@ std::size_t SelectionContext::first_link_at_or_above(double min_bw_bps) const {
   return static_cast<std::size_t>(it - order.begin());
 }
 
-const std::vector<topo::LinkId>& SelectionContext::links_by_fraction(
-    const SelectionOptions& opt) const {
-  if (opt.reference_bw > 0.0) return links_by_bw();
+const std::vector<topo::LinkId>& SelectionContext::links_by_bwfactor() const {
   const auto& f = link_bwfactor();
   if (!by_bwfactor_valid_) {
     by_bwfactor_ = sorted_by(graph(), f);
@@ -576,11 +574,6 @@ void SelectionContext::new_row_entry(RowSlot& slot,
                                      topo::BottleneckRow row) const {
   auto e = std::make_unique<RowEntry>();
   e->row = std::move(row);
-  e->in_tree.assign(graph().link_count(), 0);
-  for (topo::NodeId v : e->row.order) {
-    const topo::LinkId l = e->row.tree_link[static_cast<std::size_t>(v)];
-    if (l != topo::kInvalidLink) e->in_tree[static_cast<std::size_t>(l)] = 1;
-  }
   // Built from the current weights: every logged change is already in.
   e->seen.store(log_.size(), std::memory_order_relaxed);
   slot.reset(e.release());
@@ -613,18 +606,8 @@ const topo::BottleneckRow& SelectionContext::pair_row(topo::NodeId src) const {
 std::vector<char> SelectionContext::eligibility(
     const SelectionOptions& opt) const {
   std::vector<char> out(graph().node_count(), 0);
-  auto fill = [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) {
-      auto n = static_cast<topo::NodeId>(i);
-      if (node_eligible(*snap_, n, opt)) out[i] = 1;
-    }
-  };
-  // Per-index writes into a pre-sized vector: chunk order cannot affect the
-  // result, so the pooled fill is bit-identical to the serial one.
-  if (pool_ && out.size() >= 2 * kScoreChunk)
-    util::parallel_for_chunked(*pool_, out.size(), kScoreChunk, fill);
-  else
-    fill(0, out.size());
+  for (std::size_t i = 0; i < out.size(); ++i)
+    if (node_eligible(*snap_, static_cast<topo::NodeId>(i), opt)) out[i] = 1;
   return out;
 }
 

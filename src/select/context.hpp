@@ -80,10 +80,6 @@
 #include "topo/connectivity.hpp"
 #include "topo/graph.hpp"
 
-namespace netsel::util {
-class ThreadPool;
-}
-
 namespace netsel::select {
 
 class SelectionContext {
@@ -117,14 +113,6 @@ class SelectionContext {
   /// value — are bit-identical to the TopologyGraph kernels.
   const topo::CsrAdjacency& csr() const;
 
-  /// Optional worker pool for the per-call scoring loops (eligibility and
-  /// the selectors' per-link/per-node key fills). Null (the default) keeps
-  /// every loop serial; results are bit-identical either way because each
-  /// index writes its own slot. The pool must outlive the context or be
-  /// unset before destruction.
-  void set_pool(util::ThreadPool* pool) { pool_ = pool; }
-  util::ThreadPool* pool() const { return pool_; }
-
   /// Available bandwidth per link, copied out of the snapshot (dense, for
   /// the row kernel and the deletion orders).
   const std::vector<double>& link_bw() const;
@@ -140,12 +128,10 @@ class SelectionContext {
   /// requirement.
   std::size_t first_link_at_or_above(double min_bw_bps) const;
 
-  /// Links sorted ascending by (link_fraction under opt, id): the Fig. 3
-  /// deletion sequence. With a reference link capacity the fraction is a
-  /// constant multiple of the absolute bandwidth, so the Fig. 2 order is
-  /// reused; otherwise the bwfactor order is cached separately.
-  const std::vector<topo::LinkId>& links_by_fraction(
-      const SelectionOptions& opt) const;
+  /// Links sorted ascending by (bwfactor, id): the Fig. 3 deletion sequence
+  /// when no reference link capacity is set. (With one, fractions are
+  /// rounded per call, so select_balanced sorts them itself.)
+  const std::vector<topo::LinkId>& links_by_bwfactor() const;
 
   /// Connected components with every link active (the initial state of the
   /// unconstrained algorithms).
@@ -171,12 +157,10 @@ class SelectionContext {
   std::vector<char> eligibility(const SelectionOptions& opt) const;
 
  private:
-  /// A cached bottleneck row plus the per-link membership mask of its BFS
-  /// tree, so "does a change of link l touch this row?" is an O(1) probe,
-  /// and how far into the changed-link log the row has been repaired.
+  /// A cached bottleneck row and how far into the changed-link log it has
+  /// been repaired.
   struct RowEntry {
     topo::BottleneckRow row;
-    std::vector<char> in_tree;  // per link id: 1 iff a tree edge of row
     /// Log entries [0, seen) are applied to `row`. Stored under the row's
     /// stripe lock (release), read lock-free on the hit path (acquire).
     std::atomic<std::size_t> seen{0};
@@ -217,6 +201,10 @@ class SelectionContext {
   void catch_up_row(RowEntry& e) const;
   /// Catch every built row up with the changed-link log, then clear it.
   void flush_log() const;
+  /// True iff link `l` is an edge of `row`'s BFS tree, i.e. it discovered
+  /// one of its endpoints. O(1); valid for every link that existed when the
+  /// row was built (a link added later drops every row).
+  bool tree_edge(const topo::BottleneckRow& row, topo::LinkId l) const;
   /// Publish a row built from the current weights in `slot`.
   void new_row_entry(RowSlot& slot, topo::BottleneckRow row) const;
   /// Replay the bottleneck min-recurrence with the current weight arrays
@@ -231,7 +219,6 @@ class SelectionContext {
 
   const remos::NetworkSnapshot* snap_;
   mutable std::uint64_t epoch_;
-  util::ThreadPool* pool_ = nullptr;
   mutable int acyclic_ = -1;  // tri-state: unknown / no / yes
   mutable std::unique_ptr<topo::CsrAdjacency> csr_;
   mutable std::vector<double> bw_;

@@ -37,9 +37,8 @@ inline std::vector<int> eligible_counts(const remos::NetworkSnapshot& snap,
   return counts;
 }
 
-/// Members of component `c` with `mask` set, in id order. Used with the
-/// candidate mask from select/prune.hpp, which may be a strict subset of
-/// the eligible set.
+/// Members of component `c` with `mask` set (the eligibility mask), in id
+/// order.
 inline std::vector<topo::NodeId> members_in_component(
     const std::vector<char>& mask, const topo::Components& comps, int c) {
   std::vector<topo::NodeId> out;

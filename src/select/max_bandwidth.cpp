@@ -32,7 +32,6 @@
 #include "select/detail.hpp"
 #include "select/objective.hpp"
 #include "select/obs.hpp"
-#include "select/prune.hpp"
 #include "topo/connectivity.hpp"
 
 namespace netsel::select {
@@ -86,14 +85,11 @@ SelectionResult select_max_bandwidth(const SelectionContext& ctx,
   }
   result.iterations = static_cast<int>(active - inserted);
 
-  // Feasibility above used the full eligible counts; only the ranking list
-  // drops dominated candidates (winner-preserving, see select/prune.hpp).
-  const auto cand = dominated_candidate_mask(snap, opt, elig);
   std::vector<topo::NodeId> members;
   const topo::NodeId wroot = uf.find(winner);
   for (std::size_t i = 0; i < elig.size(); ++i) {
     auto n = static_cast<topo::NodeId>(i);
-    if (cand[i] && uf.find(n) == wroot) members.push_back(n);
+    if (elig[i] && uf.find(n) == wroot) members.push_back(n);
   }
   result.nodes = detail::top_m_by_cpu(snap, opt, std::move(members), m);
   result.feasible = true;

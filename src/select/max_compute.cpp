@@ -6,7 +6,6 @@
 #include "select/context.hpp"
 #include "select/detail.hpp"
 #include "select/obs.hpp"
-#include "select/prune.hpp"
 #include "topo/connectivity.hpp"
 
 namespace netsel::select {
@@ -56,17 +55,14 @@ SelectionResult select_max_compute(const SelectionContext& ctx,
   } else {
     comps = &ctx.base_components();
   }
-  // Feasibility counts use the full eligible set; the ranking lists drop
-  // dominated candidates (winner-preserving, see select/prune.hpp).
   auto elig = ctx.eligibility(opt);
-  auto cand = dominated_candidate_mask(snap, opt, elig);
   auto counts = detail::counts_in_components(elig, *comps);
 
   SelectionResult result;
   double best = -std::numeric_limits<double>::infinity();
   for (int c = 0; c < comps->count; ++c) {
     if (counts[static_cast<std::size_t>(c)] < m) continue;
-    auto members = detail::members_in_component(cand, *comps, c);
+    auto members = detail::members_in_component(elig, *comps, c);
     auto chosen = detail::top_m_by_cpu(snap, opt, std::move(members), m);
     double mincpu = detail::min_cpu_of(snap, opt, chosen);
     if (mincpu > best) {

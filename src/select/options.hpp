@@ -47,8 +47,9 @@ struct ExactOptions {
   /// can then no longer certify exactness, only the bound).
   std::size_t max_open = 2'000'000;
   /// Drop candidates dominated by >= m strictly-lower-id siblings on the
-  /// same leaf switch (select/prune.hpp's keys, id-ordered so the
-  /// brute-force lexicographic tie-break is preserved bit-exactly).
+  /// same leaf switch (exact_dominated_candidate_mask in select/bnb.hpp;
+  /// id-ordered so the brute-force lexicographic tie-break is preserved
+  /// bit-exactly).
   bool prune_dominance = true;
   /// Seed the incumbent from the matching greedy selector before searching.
   bool warm_start = true;
@@ -85,18 +86,6 @@ struct SelectionOptions {
   /// node is eligible). Used by the application-spec layer for pinned or
   /// architecture-constrained groups.
   std::vector<char> eligible;
-
-  /// Drop dominated degree-1 candidates before ranking (select/prune.hpp).
-  /// Provably winner-preserving; exposed so benchmarks and the oracle tests
-  /// can compare pruned vs unpruned runs.
-  bool prune_dominated = true;
-
-  /// Eligible-candidate count below which prune_dominated short-circuits
-  /// (returns the eligibility mask unchanged — trivially winner-preserving):
-  /// small selections finish in well under a millisecond, so the prune
-  /// pass's own O(V + E) grouping cannot pay for itself there. 0 always
-  /// prunes (the unit-test mode).
-  int prune_min_candidates = 512;
 
   /// Ablation: compute the Fig.-3 bandwidth term over only the links on
   /// paths between the chosen nodes (a Steiner restriction) instead of all

@@ -21,7 +21,6 @@
 // Callers that need reproducible output must write results into
 // index-addressed slots and reduce in index order (see exp::run_cell).
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -126,30 +125,6 @@ void parallel_for(ThreadPool& pool, std::size_t n, F&& body) {
   }
   for (std::exception_ptr& e : errors)
     if (e) std::rethrow_exception(e);
-}
-
-/// Chunked variant for cheap per-index bodies: split [0, n) into contiguous
-/// ranges of at least `min_chunk` indices (at most ~4 chunks per execution
-/// slot, so submit overhead stays amortised) and run body(lo, hi) once per
-/// range. The chunk boundaries depend only on (n, min_chunk, workers()) —
-/// never on scheduling — so a body that writes index-addressed slots
-/// produces bit-identical results at any thread count, including the
-/// zero-worker serial mode.
-template <class F>
-void parallel_for_chunked(ThreadPool& pool, std::size_t n,
-                          std::size_t min_chunk, F&& body) {
-  if (n == 0) return;
-  if (min_chunk == 0) min_chunk = 1;
-  const std::size_t slots = static_cast<std::size_t>(pool.workers()) + 1;
-  std::size_t chunks =
-      std::min(slots * 4, (n + min_chunk - 1) / min_chunk);
-  if (chunks == 0) chunks = 1;
-  const std::size_t per = (n + chunks - 1) / chunks;
-  parallel_for(pool, chunks, [&](std::size_t c) {
-    const std::size_t lo = c * per;
-    const std::size_t hi = std::min(n, lo + per);
-    if (lo < hi) body(lo, hi);
-  });
 }
 
 }  // namespace netsel::util
