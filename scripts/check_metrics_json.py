@@ -131,6 +131,7 @@ PROFILES = {
             "sched.place.infeasible",
             "sched.rebalance.attempts",
             "sched.rebalance.migrations",
+            "sched.rebalance.rescored",
             "sched.ladder.full",
             "sched.ladder.smoothed",
             "sched.ladder.prior",
@@ -142,6 +143,7 @@ PROFILES = {
             "select.ctx.row_hits",
             "select.ctx.row_misses",
             "select.ctx.rows.flushes",
+            "select.ctx.rows.transient",
             "select.selections",
             "obs.ts.samples",
             "obs.ts.dropped",

@@ -58,17 +58,30 @@ void FlightRecorder::record(FlightKind kind, double sim_time, std::uint64_t a,
                             std::uint64_t b, std::string_view detail) {
   const std::uint64_t seq = next_.fetch_add(1, std::memory_order_relaxed) + 1;
   Slot& s = slots_[seq & mask_];
-  // Seqlock write: odd while the payload is inconsistent. A reader that
-  // observes an odd or changed version discards the slot.
-  s.ver.store(seq * 2 - 1, std::memory_order_release);
-  s.ev.seq = seq;
-  s.ev.sim_time = sim_time;
-  s.ev.kind = kind;
-  s.ev.a = a;
-  s.ev.b = b;
-  const std::size_t n = std::min(detail.size(), sizeof(s.ev.detail) - 1);
-  if (n > 0) std::memcpy(s.ev.detail, detail.data(), n);  // data() may be null
-  s.ev.detail[n] = '\0';
+  // Claim the slot: stable (even) and older than this event. Otherwise
+  // another writer is mid-write on it or has already stored a newer event,
+  // and this one is dropped.
+  std::uint64_t v = s.ver.load(std::memory_order_relaxed);
+  if ((v & 1) != 0 || v > seq * 2 ||
+      !s.ver.compare_exchange_strong(v, seq * 2 - 1,
+                                     std::memory_order_acquire,
+                                     std::memory_order_relaxed))
+    return;
+  // Seqlock write: the payload stores must not become visible before the
+  // odd version.
+  std::atomic_thread_fence(std::memory_order_release);
+  FlightEvent ev;
+  ev.seq = seq;
+  ev.sim_time = sim_time;
+  ev.kind = kind;
+  ev.a = a;
+  ev.b = b;
+  const std::size_t n = std::min(detail.size(), sizeof(ev.detail) - 1);
+  if (n > 0) std::memcpy(ev.detail, detail.data(), n);  // data() may be null
+  std::uint64_t words[kWords] = {};
+  std::memcpy(words, &ev, sizeof ev);
+  for (std::size_t i = 0; i < kWords; ++i)
+    s.words[i].store(words[i], std::memory_order_relaxed);
   s.ver.store(seq * 2, std::memory_order_release);
   flight_events_counter().inc();
 }
@@ -82,10 +95,14 @@ std::vector<FlightEvent> FlightRecorder::tail(std::size_t n) const {
   for (std::uint64_t seq = last - window + 1; seq <= last; ++seq) {
     const Slot& s = slots_[seq & mask_];
     const std::uint64_t v0 = s.ver.load(std::memory_order_acquire);
-    if (v0 != seq * 2) continue;  // overwritten or mid-write
-    FlightEvent ev = s.ev;
+    if (v0 != seq * 2) continue;  // dropped, overwritten or mid-write
+    std::uint64_t words[kWords];
+    for (std::size_t i = 0; i < kWords; ++i)
+      words[i] = s.words[i].load(std::memory_order_relaxed);
     std::atomic_thread_fence(std::memory_order_acquire);
     if (s.ver.load(std::memory_order_relaxed) != v0) continue;
+    FlightEvent ev;
+    std::memcpy(&ev, words, sizeof ev);
     out.push_back(ev);
   }
   return out;

@@ -11,11 +11,16 @@
 // decision granularity (admissions, rejections, ladder transitions — never
 // per-BFS-step).
 //
-// Concurrency: writers claim slots with one fetch_add; each slot carries a
-// seqlock-style version so readers (tail()/dump(), rare) detect and skip
-// slots that are mid-write or have been overwritten since. Events from
-// concurrent writers interleave by claim order; the scheduler only records
-// from its serial event loop, so its runs produce a deterministic sequence.
+// Concurrency: writers take a sequence number with one fetch_add, then
+// claim the slot exclusively by moving its seqlock version from even
+// (stable) to odd (mid-write) with a CAS. A writer that finds the slot
+// mid-write, or already holding a newer event, drops its event: two writers
+// that wrap the ring onto one slot never write it at once. The payload is
+// stored as relaxed atomic words, so readers (tail()/dump(), rare) race
+// with no writer; they detect and skip slots that are mid-write or have
+// been overwritten since. Events from concurrent writers interleave by
+// claim order; the scheduler only records from its serial event loop, so
+// its runs produce a deterministic sequence.
 
 #include <atomic>
 #include <cstdint>
@@ -93,10 +98,13 @@ class FlightRecorder {
   static constexpr std::size_t kDefaultCapacity = 256;
 
  private:
+  static constexpr std::size_t kWords =
+      (sizeof(FlightEvent) + sizeof(std::uint64_t) - 1) / sizeof(std::uint64_t);
   struct Slot {
     /// Even = stable (value is the claiming seq * 2), odd = mid-write.
     std::atomic<std::uint64_t> ver{0};
-    FlightEvent ev;
+    /// The FlightEvent's bytes.
+    std::atomic<std::uint64_t> words[kWords];
   };
   std::size_t mask_;
   std::unique_ptr<Slot[]> slots_;

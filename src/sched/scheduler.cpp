@@ -30,6 +30,7 @@ struct SchedMetrics {
   obs::Counter& infeasible;
   obs::Counter& rebalance_attempts;
   obs::Counter& rebalance_migrations;
+  obs::Counter& rebalance_rescored;
   obs::Counter& ladder_full;
   obs::Counter& ladder_smoothed;
   obs::Counter& ladder_prior;
@@ -52,6 +53,7 @@ SchedMetrics& metrics() {
       obs::Registry::global().counter("sched.place.infeasible"),
       obs::Registry::global().counter("sched.rebalance.attempts"),
       obs::Registry::global().counter("sched.rebalance.migrations"),
+      obs::Registry::global().counter("sched.rebalance.rescored"),
       obs::Registry::global().counter("sched.ladder.full"),
       obs::Registry::global().counter("sched.ladder.smoothed"),
       obs::Registry::global().counter("sched.ladder.prior"),
@@ -132,7 +134,7 @@ SchedulerService::SchedulerService(const topo::TopologyGraph& g,
   if (cfg_.backfill_window < 1)
     throw std::invalid_argument("SchedulerConfig: backfill_window < 1");
   cluster_.set_delta_journal_capacity(cfg_.journal_capacity);
-  taken_.assign(g.node_count(), 0);
+  owner_.assign(g.node_count(), kNoOwner);
   register_scheduler_metrics();
   flight_ = cfg_.flight ? cfg_.flight : &obs::FlightRecorder::global();
   if (cfg_.timeseries) {
@@ -210,8 +212,10 @@ void SchedulerService::run_until(double t) {
           ticked = true;
           break;
       }
+      if (cfg_.check_score_cache) verify_score_cache();
     }
     if (cfg_.schedule_interval <= 0.0 || ticked) schedule_round();
+    if (cfg_.check_score_cache) verify_score_cache();
     // Keep the tick chain alive while work is waiting: the next round is
     // one interval out, regardless of what events land in between.
     if (cfg_.schedule_interval > 0.0 && !queue_.empty() && !tick_pending_) {
@@ -347,15 +351,20 @@ select::SelectionOptions SchedulerService::job_options(
   return opt;
 }
 
+std::vector<char> SchedulerService::free_nodes() const {
+  std::vector<char> out(owner_.size());
+  for (std::size_t i = 0; i < owner_.size(); ++i)
+    out[i] = owner_[i] == kNoOwner ? 1 : 0;
+  return out;
+}
+
 SchedulerService::Decision SchedulerService::place_job(
-    const JobRecord& rec, const std::vector<char>& taken) const {
+    const JobRecord& rec) const {
   const auto t0 = std::chrono::steady_clock::now();
   Decision d;
   d.level = ladder_level(rec.spec.tenant);
   select::SelectionOptions opt = job_options(rec.spec, d.level);
-  opt.eligible.resize(taken.size());
-  for (std::size_t i = 0; i < taken.size(); ++i)
-    opt.eligible[i] = taken[i] ? 0 : 1;
+  opt.eligible = free_nodes();
   const select::SelectionContext& ctx =
       d.level == api::DegradationLevel::Prior ? prior_ctx_ : live_ctx_;
   {
@@ -430,14 +439,13 @@ void SchedulerService::schedule_round() {
     // count (config) fixes the partition; the pool only adds concurrency,
     // so results are bit-identical at any thread count. Lane k serially
     // handles candidates k, k+L, k+2L, ...; nothing mutates cluster_ (or
-    // taken_) during this phase.
+    // owner_) during this phase.
     const std::size_t L =
         std::min(window, static_cast<std::size_t>(cfg_.placement_lanes));
     std::vector<Decision> dec(window);
-    const std::vector<char>& taken = taken_;
     auto lane_body = [&](std::size_t k) {
       for (std::size_t i = k; i < window; i += L)
-        dec[i] = place_job(jobs_[cand[i]], taken);
+        dec[i] = place_job(jobs_[cand[i]]);
     };
     if (cfg_.pool && L > 1) {
       util::parallel_for(*cfg_.pool, L, lane_body);
@@ -472,7 +480,7 @@ void SchedulerService::schedule_round() {
       if (d.feasible) {
         const bool conflict =
             std::any_of(d.nodes.begin(), d.nodes.end(), [&](topo::NodeId n) {
-              return taken_[static_cast<std::size_t>(n)] != 0;
+              return owner_[static_cast<std::size_t>(n)] != kNoOwner;
             });
         if (conflict) {
           ++stats_.conflicts;
@@ -483,7 +491,7 @@ void SchedulerService::schedule_round() {
             cfg_.job_trace->span(rec.id, open->root, "place.conflict", now_,
                                  now_);
           const double spec_seconds = d.seconds;
-          d = place_job(rec, taken_);
+          d = place_job(rec);
           d.seconds += spec_seconds;
         }
       }
@@ -545,8 +553,8 @@ void SchedulerService::allocate(JobRecord& rec,
                                 api::DegradationLevel level) {
   Allocation alloc;
   for (topo::NodeId n : nodes) {
-    assert(!taken_[static_cast<std::size_t>(n)]);
-    taken_[static_cast<std::size_t>(n)] = 1;
+    assert(owner_[static_cast<std::size_t>(n)] == kNoOwner);
+    owner_[static_cast<std::size_t>(n)] = rec.id;
     // cpu = 1/(1 + load): stacking the job's load L onto a host currently
     // at cpu c lands at 1/(1 + load0 + L) = c / (1 + L*c).
     const double pre = cluster_.cpu(n);
@@ -576,15 +584,82 @@ void SchedulerService::release(JobRecord& rec) {
   // Exact inverse: restore the recorded pre-values in reverse order, so a
   // sensor touched twice within one allocation unwinds to its original
   // reading. Each mutation lands in the delta journal; the shared context
-  // repairs its caches fine-grainedly on its next catch-up.
+  // repairs its caches fine-grainedly on its next catch-up. A host or link
+  // removed from the topology while the job ran is a tombstone with no
+  // sensor left to restore.
   for (auto li = alloc.links.rbegin(); li != alloc.links.rend(); ++li) {
+    if (graph_->link_removed(li->link)) continue;
     cluster_.set_bw_dir(li->link, true, li->fwd);
     cluster_.set_bw_dir(li->link, false, li->rev);
   }
   for (auto ni = alloc.node_cpu.rbegin(); ni != alloc.node_cpu.rend(); ++ni)
-    cluster_.set_cpu(ni->first, ni->second);
-  for (topo::NodeId n : rec.nodes) taken_[static_cast<std::size_t>(n)] = 0;
+    if (!graph_->node_removed(ni->first))
+      cluster_.set_cpu(ni->first, ni->second);
+  for (topo::NodeId n : rec.nodes)
+    owner_[static_cast<std::size_t>(n)] = kNoOwner;
   allocations_.erase(it);
+}
+
+double SchedulerService::score_job(const JobRecord& rec) const {
+  for (topo::NodeId n : rec.nodes)
+    if (!graph_->is_compute(n)) return 0.0;
+  const select::SelectionOptions opt = job_options(rec.spec, rec.ladder);
+  return api::criterion_score(rec.spec.criterion,
+                              select::evaluate_set(live_ctx_, rec.nodes, opt));
+}
+
+void SchedulerService::refresh_scores() {
+  // A job's score reads its hosts' cpu and the bandwidth of the links on
+  // its pair paths. A link with a degree-1 endpoint lies only on paths
+  // that start or end there, so a bandwidth change on it can move only the
+  // score of that endpoint's owner. On a fat-tree every access link is
+  // such a link, so every link allocate/release writes is one. Any other
+  // link, any structural change or a trimmed journal can move any score.
+  bool all = !cluster_.deltas_since(scored_epoch_, score_deltas_);
+  auto mark = [&](topo::NodeId n) {
+    const auto i = static_cast<std::size_t>(n);
+    if (i < owner_.size() && owner_[i] != kNoOwner)
+      allocations_.at(owner_[i]).dirty = true;
+  };
+  for (const remos::Delta& d : score_deltas_) {
+    if (all) break;
+    switch (d.kind) {
+      case remos::DeltaKind::NodeLoad: mark(d.node); break;
+      case remos::DeltaKind::NodeMemory: break;  // the score reads no memory
+      case remos::DeltaKind::LinkBandwidth: {
+        const topo::Link& ln = graph_->link(d.link);
+        const bool pendant_a = graph_->degree(ln.a) == 1;
+        const bool pendant_b = graph_->degree(ln.b) == 1;
+        if (!pendant_a && !pendant_b) all = true;
+        if (pendant_a) mark(ln.a);
+        if (pendant_b) mark(ln.b);
+        break;
+      }
+      default: all = true; break;  // structural
+    }
+  }
+  score_deltas_.clear();
+  scored_epoch_ = cluster_.epoch();
+  std::uint64_t rescored = 0;
+  for (auto& [id, alloc] : allocations_) {
+    if (!all && !alloc.dirty) continue;
+    alloc.score = score_job(jobs_[id]);
+    alloc.dirty = false;
+    ++rescored;
+  }
+  stats_.rebalance_rescored += rescored;
+  metrics().rebalance_rescored.inc(rescored);
+}
+
+void SchedulerService::verify_score_cache() {
+  refresh_scores();
+  for (const auto& [id, alloc] : allocations_) {
+    const double fresh = score_job(jobs_[id]);
+    if (std::memcmp(&fresh, &alloc.score, sizeof fresh) != 0)
+      throw std::logic_error("score cache: job " + std::to_string(id) +
+                             " cached " + std::to_string(alloc.score) +
+                             ", rescored " + std::to_string(fresh));
+  }
 }
 
 void SchedulerService::maybe_rebalance() {
@@ -594,21 +669,11 @@ void SchedulerService::maybe_rebalance() {
   // The release just freed capacity: give it to the worst-off running job
   // (lowest criterion score, ties to the lowest id — allocations_ iterates
   // in id order).
-  std::uint64_t worst = 0;
-  double worst_score = 0.0;
-  bool have = false;
-  for (const auto& [id, alloc] : allocations_) {
-    const JobRecord& rec = jobs_[id];
-    const select::SelectionOptions opt = job_options(rec.spec, rec.ladder);
-    const double s = api::criterion_score(
-        rec.spec.criterion, select::evaluate_set(live_ctx_, rec.nodes, opt));
-    if (!have || s < worst_score) {
-      have = true;
-      worst = id;
-      worst_score = s;
-    }
-  }
-  if (!have) return;
+  refresh_scores();
+  auto worst_it = allocations_.begin();
+  for (auto it = allocations_.begin(); it != allocations_.end(); ++it)
+    if (it->second.score < worst_it->second.score) worst_it = it;
+  const std::uint64_t worst = worst_it->first;
 
   JobRecord& rec = jobs_[worst];
   api::ReselectOptions ropt;
@@ -618,9 +683,7 @@ void SchedulerService::maybe_rebalance() {
   ropt.selection = job_options(rec.spec, rec.ladder);
   // Eligible: free nodes plus the job's own (a migration target must not
   // evict anyone).
-  ropt.selection.eligible.resize(taken_.size());
-  for (std::size_t i = 0; i < taken_.size(); ++i)
-    ropt.selection.eligible[i] = taken_[i] ? 0 : 1;
+  ropt.selection.eligible = free_nodes();
   for (topo::NodeId n : rec.nodes)
     ropt.selection.eligible[static_cast<std::size_t>(n)] = 1;
 

@@ -49,7 +49,9 @@
 //     state — asserted by bench_service --check.
 //   * Optional churn-aware rebalancing: after a release, the worst-scoring
 //     running job is re-placed through api::reselect under a migration
-//     budget; a kept_current result keeps the job where it runs.
+//     budget; a kept_current result keeps the job where it runs. Scores
+//     are cached per job and only the jobs the journal since the last scan
+//     can have changed are rescored (refresh_scores; DESIGN.md §12).
 //
 // Time is explicit simulated time (the sim::Engine idiom): run_until(t)
 // processes events up to t. Determinism contract: everything observable —
@@ -196,6 +198,11 @@ struct SchedulerConfig {
   bool rebalance_on_release = false;
   int rebalance_budget = 2;
   double rebalance_min_improvement = 0.0;
+  /// Debug oracle for the rebalancer's score cache: after every event,
+  /// bring the cached scores up to date, rescore every running job from
+  /// scratch and throw std::logic_error unless each cached score matches
+  /// bit for bit. Costs a full rescore per event; tests only.
+  bool check_score_cache = false;
   /// Observational telemetry (DESIGN.md §13). All three are pure outputs:
   /// seeded runs are bit-identical with any combination attached or not.
   /// Time-series recorder sampled on its sim-time cadence by the event
@@ -222,6 +229,7 @@ struct SchedulerStats {
   std::uint64_t infeasible_attempts = 0;  ///< round attempts that failed
   std::uint64_t rebalance_attempts = 0;
   std::uint64_t rebalance_migrations = 0;
+  std::uint64_t rebalance_rescored = 0;   ///< running jobs rescored by scans
   std::size_t queued = 0;   ///< current queue depth
   std::size_t running = 0;  ///< currently placed jobs
 };
@@ -318,10 +326,11 @@ class SchedulerService {
   void handle_timeout(std::uint64_t id);
   /// One admit/queue/place round over the backfill window.
   void schedule_round();
-  /// Placement of `rec` against `taken` on the shared contexts. Safe to
-  /// run on many threads once both contexts are synced.
-  Decision place_job(const JobRecord& rec,
-                     const std::vector<char>& taken) const;
+  /// Placement of `rec` on the nodes no running job holds, on the shared
+  /// contexts. Safe to run on many threads once both contexts are synced.
+  Decision place_job(const JobRecord& rec) const;
+  /// Per node id: 1 unless a running job holds it.
+  std::vector<char> free_nodes() const;
   select::SelectionOptions job_options(const JobSpec& spec,
                                        api::DegradationLevel level) const;
   api::DegradationLevel ladder_level(const std::string& tenant) const;
@@ -332,6 +341,16 @@ class SchedulerService {
   void release(JobRecord& rec);
   /// Post-release bounded-migration pass (cfg_.rebalance_on_release).
   void maybe_rebalance();
+  /// Bring every running job's cached criterion score up to date: mark
+  /// dirty the jobs the deltas since the last refresh can have changed,
+  /// then rescore only the dirty ones.
+  void refresh_scores();
+  /// The rebalancer's criterion score of a running job's placement; 0 when
+  /// a member has left the topology (as api::reselect scores it).
+  double score_job(const JobRecord& rec) const;
+  /// cfg_.check_score_cache: throw unless every cached score equals a
+  /// fresh rescore bit for bit.
+  void verify_score_cache();
   void remove_queued(std::uint64_t id);
   /// Refresh stats_.queued / stats_.running and their obs gauges.
   void sync_depth_gauges();
@@ -368,9 +387,18 @@ class SchedulerService {
   struct Allocation {
     std::vector<std::pair<topo::NodeId, double>> node_cpu;
     std::vector<LinkState> links;
+    /// Cached criterion score (score_job) as of scored_epoch_; valid
+    /// unless dirty. A new allocation starts dirty.
+    double score = 0.0;
+    bool dirty = true;
   };
   std::map<std::uint64_t, Allocation> allocations_;
-  std::vector<char> taken_;  ///< per node id: 1 = held by a running job
+  static constexpr std::uint64_t kNoOwner = ~std::uint64_t{0};
+  /// Per node id: the running job holding it, or kNoOwner.
+  std::vector<std::uint64_t> owner_;
+  /// Cluster epoch the cached scores were brought up to date at.
+  std::uint64_t scored_epoch_ = 0;
+  std::vector<remos::Delta> score_deltas_;  ///< refresh_scores scratch
   SchedulerStats stats_;
   // --- Telemetry (observational; none of it feeds state_digest) ---------
   obs::FlightRecorder* flight_ = nullptr;  ///< never null after construction

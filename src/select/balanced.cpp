@@ -89,8 +89,14 @@ struct ForestNode {
   std::int32_t top_len = 0;
 };
 
+/// A forward-sweep candidate: the winning forest node's top slice plus its
+/// figures. Slices are immutable once merged, so the (offset, length) pair
+/// stays valid for the rest of the call; the node list is copied and sorted
+/// once, for the final winner. minbw is a copy, because cycle events
+/// overwrite the forest node's minfrac later in the sweep.
 struct Candidate {
-  std::vector<topo::NodeId> nodes;
+  std::int64_t top_off = 0;
+  std::int32_t top_len = 0;
   double mincpu = 0.0;
   double minbw = 0.0;
   double minresource = -kInf;
@@ -103,17 +109,39 @@ Candidate evaluate_forest_node(const std::vector<double>& cpu,
                                int f) {
   const auto& fn = forest[static_cast<std::size_t>(f)];
   Candidate cand;
-  const auto lo = static_cast<std::ptrdiff_t>(fn.top_off);
-  cand.nodes.assign(top_pool.begin() + lo, top_pool.begin() + lo + fn.top_len);
+  cand.top_off = fn.top_off;
+  cand.top_len = fn.top_len;
   // top is ordered by (cpu desc, id asc): the minimum cpu is the last
-  // element's, and top_m_by_cpu returns its selection ascending by id.
-  cand.mincpu = cpu[static_cast<std::size_t>(cand.nodes.back())];
-  std::sort(cand.nodes.begin(), cand.nodes.end());
+  // element's.
+  cand.mincpu = cpu[static_cast<std::size_t>(
+      top_pool[static_cast<std::size_t>(fn.top_off) + fn.top_len - 1])];
   cand.minbw = fn.minfrac;
   cand.minresource =
       std::min(cand.mincpu / opt.cpu_priority, cand.minbw / opt.bw_priority);
   return cand;
 }
+
+/// Per-call arrays of the replay and sweep. One workspace per thread is
+/// reused across calls, so a warm call allocates nothing V- or E-sized;
+/// lanes run selections concurrently, hence thread_local rather than shared.
+struct ForestWorkspace {
+  std::vector<ForestNode> forest;
+  std::vector<topo::NodeId> top_pool;
+  std::vector<int> forest_of_root;
+  std::vector<int> split_at;
+  std::vector<int> cycle_at;
+  std::vector<double> cycle_minfrac;
+  std::vector<std::size_t> min_pos;
+  std::vector<std::pair<topo::NodeId, topo::NodeId>> seq_ends;
+  std::vector<double> seq_frac;
+  std::vector<double> cpu;
+  std::vector<char> seen;
+  std::vector<int> roots;
+  /// Only with a reference capacity or a min-bandwidth requirement: the
+  /// per-call fractions and filtered deletion order.
+  std::vector<double> frac;
+  std::vector<topo::LinkId> seq;
+};
 
 /// Merge the children's (cpu desc, id asc)-ordered top lists, keeping the
 /// first m, into `out`'s slice of `top_pool`. The key is a strict total
@@ -176,44 +204,51 @@ SelectionResult select_balanced_forest(const SelectionContext& ctx,
   const auto& snap = ctx.snapshot();
   const auto& g = ctx.graph();
   const int m = opt.num_nodes;
+  thread_local ForestWorkspace ws;
 
   auto elig = ctx.eligibility(opt);
 
   // The active deletion sequence: links ascending by (fraction, id) — the
   // order min_fraction_link produces — minus those failing the fixed
-  // min-bandwidth requirement. With a reference capacity the fraction is a
-  // *rounded* multiple of the absolute bandwidth, so sort by the computed
-  // fractions rather than reusing the absolute-bandwidth order (two
-  // bandwidths may round to equal fractions, where the id tie-break kicks
-  // in).
-  std::vector<double> frac(g.link_count());
-  for (std::size_t l = 0; l < frac.size(); ++l)
-    frac[l] = link_fraction(snap, static_cast<topo::LinkId>(l), opt);
-  std::vector<topo::LinkId> seq;
-  seq.reserve(g.link_count());
-  if (opt.reference_bw > 0.0) {
+  // min-bandwidth requirement. Without a reference capacity the fractions
+  // are the context's cached bwfactor array and the order its cached
+  // Fig. 3 order, read in place. With one, the fraction is a *rounded*
+  // multiple of the absolute bandwidth, so sort by the computed fractions
+  // rather than reusing the absolute-bandwidth order (two bandwidths may
+  // round to equal fractions, where the id tie-break kicks in).
+  const std::vector<double>* frac = &ws.frac;
+  const std::vector<topo::LinkId>* seq = &ws.seq;
+  if (opt.reference_bw <= 0.0) {
+    frac = &ctx.link_bwfactor();
+    seq = &ctx.links_by_bwfactor();
+  } else {
+    ws.frac.resize(g.link_count());
+    for (std::size_t l = 0; l < ws.frac.size(); ++l)
+      ws.frac[l] = link_fraction(snap, static_cast<topo::LinkId>(l), opt);
+    ws.seq.clear();
     for (std::size_t l = 0; l < g.link_count(); ++l)
       if (!g.link_removed(static_cast<topo::LinkId>(l)))
-        seq.push_back(static_cast<topo::LinkId>(l));
-    std::stable_sort(seq.begin(), seq.end(),
+        ws.seq.push_back(static_cast<topo::LinkId>(l));
+    std::stable_sort(ws.seq.begin(), ws.seq.end(),
                      [&](topo::LinkId a, topo::LinkId b) {
-                       return frac[static_cast<std::size_t>(a)] <
-                              frac[static_cast<std::size_t>(b)];
+                       return ws.frac[static_cast<std::size_t>(a)] <
+                              ws.frac[static_cast<std::size_t>(b)];
                      });
-  } else {
-    seq = ctx.links_by_bwfactor();
   }
   if (opt.min_bw_bps > 0.0) {
-    std::erase_if(seq, [&](topo::LinkId l) {
+    if (seq != &ws.seq) ws.seq = *seq;
+    std::erase_if(ws.seq, [&](topo::LinkId l) {
       return snap.bw(l) < opt.min_bw_bps;
     });
+    seq = &ws.seq;
   }
-  const std::size_t steps = seq.size();
+  const std::size_t steps = seq->size();
 
   // Per-call cpu keys (they depend on reference_cpu_capacity); only eligible
   // nodes are ever ranked, the rest stay 0.
   const std::size_t V = g.node_count();
-  std::vector<double> cpu(V, 0.0);
+  std::vector<double>& cpu = ws.cpu;
+  cpu.assign(V, 0.0);
   for (std::size_t n = 0; n < V; ++n)
     if (elig[n]) cpu[n] = node_cpu(snap, static_cast<topo::NodeId>(n), opt);
 
@@ -227,14 +262,17 @@ SelectionResult select_balanced_forest(const SelectionContext& ctx,
   // both the position minimum and the fraction minimum. When forward step
   // i+1 deletes cycle link seq[i], the component's min-fraction becomes the
   // fraction at the position minimum *before* that insertion.
-  std::vector<ForestNode> forest;
+  std::vector<ForestNode>& forest = ws.forest;
+  forest.clear();
   forest.reserve(V + steps);
-  std::vector<int> forest_of_root(V);
+  std::vector<int>& forest_of_root = ws.forest_of_root;
+  forest_of_root.resize(V);
   const auto mm = static_cast<std::size_t>(m);
   // Shared storage for every ForestNode::top slice. Leaf slices come first;
   // slice sharing on lopsided merges keeps the tail near sum(min(m,
   // subtree-eligible)) rather than m per forest node.
-  std::vector<topo::NodeId> top_pool;
+  std::vector<topo::NodeId>& top_pool = ws.top_pool;
+  top_pool.clear();
   top_pool.reserve(V + steps);
   for (std::size_t i = 0; i < V; ++i) {
     ForestNode fn;
@@ -250,23 +288,29 @@ SelectionResult select_balanced_forest(const SelectionContext& ctx,
     forest_of_root[i] = static_cast<int>(i);
   }
   topo::EligibleUnionFind uf(elig);
-  std::vector<int> split_at(steps + 1, -1);
-  std::vector<int> cycle_at(steps + 1, -1);
-  std::vector<double> cycle_minfrac(steps + 1, kInf);
-  std::vector<std::size_t> min_pos(V, kNoPos);
+  std::vector<int>& split_at = ws.split_at;
+  std::vector<int>& cycle_at = ws.cycle_at;
+  std::vector<double>& cycle_minfrac = ws.cycle_minfrac;
+  std::vector<std::size_t>& min_pos = ws.min_pos;
+  split_at.assign(steps + 1, -1);
+  cycle_at.assign(steps + 1, -1);
+  cycle_minfrac.assign(steps + 1, kInf);
+  min_pos.assign(V, kNoPos);
   // Gather each step's endpoints and fraction once, in deletion-sequence
   // order: the replay walks seq back-to-front with dependent union-find
   // work per step, and random g.link()/frac[] loads on that critical path
   // stall it at the million-link scale. Independent gather loops let the
   // misses overlap; the replay then streams these arrays sequentially.
-  std::vector<std::pair<topo::NodeId, topo::NodeId>> seq_ends(steps);
-  std::vector<double> seq_frac(steps);
+  std::vector<std::pair<topo::NodeId, topo::NodeId>>& seq_ends = ws.seq_ends;
+  std::vector<double>& seq_frac = ws.seq_frac;
+  seq_ends.resize(steps);
+  seq_frac.resize(steps);
   for (std::size_t i = 0; i < steps; ++i) {
-    const topo::Link& lk = g.link(seq[i]);
+    const topo::Link& lk = g.link((*seq)[i]);
     seq_ends[i] = {lk.a, lk.b};
   }
   for (std::size_t i = 0; i < steps; ++i)
-    seq_frac[i] = frac[static_cast<std::size_t>(seq[i])];
+    seq_frac[i] = (*frac)[static_cast<std::size_t>((*seq)[i])];
   for (std::size_t i = steps; i-- > 0;) {
     const auto [end_a, end_b] = seq_ends[i];
     const topo::NodeId ra = uf.find(end_a);
@@ -307,9 +351,11 @@ SelectionResult select_balanced_forest(const SelectionContext& ctx,
 
   // Initial components, in the order connected_components numbers them
   // (ascending smallest member id).
-  std::vector<int> roots;
+  std::vector<int>& roots = ws.roots;
+  roots.clear();
   {
-    std::vector<char> seen(forest.size(), 0);
+    std::vector<char>& seen = ws.seen;
+    seen.assign(forest.size(), 0);
     for (std::size_t n = 0; n < V; ++n) {
       const int f = forest_of_root[static_cast<std::size_t>(
           uf.find(static_cast<topo::NodeId>(n)))];
@@ -332,10 +378,10 @@ SelectionResult select_balanced_forest(const SelectionContext& ctx,
   for (int f : roots) {
     if (forest[static_cast<std::size_t>(f)].eligible < m) continue;
     ++feasible_live;
-    auto cand = evaluate_forest_node(cpu, opt, forest, top_pool, f);
-    if (cand.minresource > best.minresource) best = std::move(cand);
+    const Candidate cand = evaluate_forest_node(cpu, opt, forest, top_pool, f);
+    if (cand.minresource > best.minresource) best = cand;
   }
-  if (best.nodes.empty()) {
+  if (best.top_len == 0) {
     result.note = "no component with enough eligible nodes";
     return result;
   }
@@ -359,9 +405,10 @@ SelectionResult select_balanced_forest(const SelectionContext& ctx,
       for (int f : {a, b}) {
         if (forest[static_cast<std::size_t>(f)].eligible < m) continue;
         ++feasible_live;
-        auto cand = evaluate_forest_node(cpu, opt, forest, top_pool, f);
+        const Candidate cand =
+            evaluate_forest_node(cpu, opt, forest, top_pool, f);
         if (cand.minresource > best.minresource) {
-          best = std::move(cand);
+          best = cand;
           newsetflag = true;
         }
       }
@@ -369,9 +416,10 @@ SelectionResult select_balanced_forest(const SelectionContext& ctx,
       const int f = cycle_at[p];
       forest[static_cast<std::size_t>(f)].minfrac = cycle_minfrac[p];
       if (forest[static_cast<std::size_t>(f)].eligible >= m) {
-        auto cand = evaluate_forest_node(cpu, opt, forest, top_pool, f);
+        const Candidate cand =
+            evaluate_forest_node(cpu, opt, forest, top_pool, f);
         if (cand.minresource > best.minresource) {
-          best = std::move(cand);
+          best = cand;
           newsetflag = true;
         }
       }
@@ -380,7 +428,11 @@ SelectionResult select_balanced_forest(const SelectionContext& ctx,
   }
 
   result.feasible = true;
-  result.nodes = best.nodes;
+  // top_m_by_cpu returns its selection ascending by id.
+  const auto lo = static_cast<std::ptrdiff_t>(best.top_off);
+  result.nodes.assign(top_pool.begin() + lo,
+                      top_pool.begin() + lo + best.top_len);
+  std::sort(result.nodes.begin(), result.nodes.end());
   result.min_cpu = best.mincpu;
   result.min_bw_fraction = best.minbw;
   result.objective = best.minresource;

@@ -7,8 +7,9 @@
 namespace netsel::select {
 
 namespace {
-// Cache visibility for the shared-context layer: every pair_row() lookup is
-// a hit (slot already built) or a miss (BFS bottleneck row built now);
+// Cache visibility for the shared-context layer: every row read is a hit
+// (slot already built) or a miss (BFS bottleneck row built now; the misses
+// read_row() builds without caching also count as rows.transient);
 // epoch invalidations count *full* cache drops (journal trimmed past the
 // context's epoch); the delta.* / rows.* families count the fine-grained
 // path. Purely observational — one branch each while the registry is
@@ -53,6 +54,11 @@ obs::Counter& rows_repaired() {
       obs::Registry::global().counter("select.ctx.rows.repaired");
   return c;
 }
+obs::Counter& rows_transient() {
+  static obs::Counter& c =
+      obs::Registry::global().counter("select.ctx.rows.transient");
+  return c;
+}
 obs::Counter& rows_flushes() {
   static obs::Counter& c =
       obs::Registry::global().counter("select.ctx.rows.flushes");
@@ -85,6 +91,7 @@ SelectionContext::SelectionContext(const remos::NetworkSnapshot& snap)
   rows_invalidated_partial();
   rows_invalidated_full();
   rows_repaired();
+  rows_transient();
   rows_flushes();
   log_pending_gauge();
   csr_patch_hist();
@@ -601,6 +608,26 @@ const topo::BottleneckRow& SelectionContext::pair_row(topo::NodeId src) const {
   row_misses().inc();
   new_row_entry(slot, topo::bottleneck_row(csr(), src, bw, f));
   return slot.get()->row;
+}
+
+const topo::BottleneckRow& SelectionContext::read_row(topo::NodeId src) const {
+  const auto& bw = link_bw();
+  const auto& f = link_bwfactor();
+  ensure_row_slots();
+  RowSlot& slot = rows_[static_cast<std::size_t>(src)];
+  if (slot.get() || slot.mark_read()) return pair_row(src);
+  // First read: most sources of a one-shot evaluation are never read again,
+  // and a cached O(V) row per source is what grows the context's memory.
+  row_misses().inc();
+  rows_transient().inc();
+  thread_local topo::BottleneckRow scratch;
+  topo::bottleneck_row(csr(), src, bw, f, scratch);
+  return scratch;
+}
+
+std::size_t SelectionContext::cached_rows() const {
+  revalidate();
+  return built_row_count();
 }
 
 std::vector<char> SelectionContext::eligibility(

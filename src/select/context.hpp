@@ -23,6 +23,21 @@
 //     lazily, so a context costs nothing until queried;
 //   - the base connected-component decomposition (all links active).
 //
+// Row lifecycle. A row is O(V) (about 3.5 MB at 100k hosts), so which
+// sources get one decides the context's memory. pair_row() caches a row
+// on its first read: brute_force and bnb hold many rows at once and read
+// each many times. read_row(), the accessor evaluate_set uses, admits a
+// row on its *second* read: the first read of a source builds the row
+// into a per-thread scratch row and only marks the source (a relaxed
+// atomic byte in its slot); a later read caches it as pair_row() does.
+// A one-shot evaluation (the trailing evaluate_set of a max-bandwidth
+// query, a fresh context's check) then caches nothing, while a source
+// read again and again (a running job rescored, a churn cycle's
+// placements) is cached from its second read on. Either way a read
+// returns the same values, bit for bit. A cached row lives until a
+// structural delta that can change its tree or a full invalidation
+// drops it; weight deltas repair it lazily (below).
+//
 // Validity contract: the snapshot carries an epoch counter bumped on every
 // mutation plus a bounded journal of typed deltas (remos/delta.hpp). Each
 // accessor revalidates against snapshot().epoch(); when the journal still
@@ -140,8 +155,20 @@ class SelectionContext {
   /// Cached bottleneck row from `src` over the full graph: bottleneck =
   /// available bandwidth, bottleneck2 = bwfactor, plus path latency and
   /// reachability, along the same deterministic BFS paths evaluate_set and
-  /// bfs_path trace. Built lazily per source, O(V + E) once.
+  /// bfs_path trace. Built lazily per source, O(V + E) once, and cached on
+  /// its first read. The reference stays valid until the next catch-up, so
+  /// callers may hold many rows at once (brute_force, bnb).
   const topo::BottleneckRow& pair_row(topo::NodeId src) const;
+
+  /// The same row for a caller that reads one row at a time (evaluate_set).
+  /// A cached row is returned as pair_row() returns it. A source's first
+  /// read builds the row into a per-thread scratch row without caching it;
+  /// a later read caches it as pair_row() does. A scratch reference stays
+  /// valid only until the calling thread's next read_row().
+  const topo::BottleneckRow& read_row(topo::NodeId src) const;
+
+  /// Number of bottleneck rows currently cached.
+  std::size_t cached_rows() const;
 
   /// Fractional bottleneck from a pair_row() under the options' reference
   /// rules (bw / reference_bw, or the cached bwfactor bottleneck).
@@ -166,22 +193,30 @@ class SelectionContext {
     std::atomic<std::size_t> seen{0};
   };
   /// Owning row pointer, published atomically so a reader that finds a
-  /// current row needs no lock. Movable only while no reader runs (slot
-  /// vector growth happens during serial catch-up).
+  /// current row needs no lock, plus the source's read-before mark for
+  /// read_row(). Movable only while no reader runs (slot vector growth
+  /// happens during serial catch-up).
   class RowSlot {
    public:
     RowSlot() = default;
     RowSlot(RowSlot&& o) noexcept
-        : p_(o.p_.exchange(nullptr, std::memory_order_relaxed)) {}
+        : p_(o.p_.exchange(nullptr, std::memory_order_relaxed)),
+          read_(o.read_.load(std::memory_order_relaxed)) {}
     RowSlot& operator=(RowSlot&&) = delete;
     ~RowSlot() { delete p_.load(std::memory_order_relaxed); }
     RowEntry* get() const { return p_.load(std::memory_order_acquire); }
     void reset(RowEntry* e = nullptr) {
       delete p_.exchange(e, std::memory_order_acq_rel);
     }
+    /// Mark the source read; true iff it had been read before. Relaxed:
+    /// the mark only decides whether a row is cached, never its values.
+    bool mark_read() {
+      return read_.exchange(1, std::memory_order_relaxed) != 0;
+    }
 
    private:
     std::atomic<RowEntry*> p_{nullptr};
+    std::atomic<std::uint8_t> read_{0};
   };
   static constexpr std::size_t kRowStripes = 64;
 

@@ -110,7 +110,7 @@ SetEvaluation evaluate_set(const SelectionContext& ctx,
       const topo::BottleneckRow* row = nullptr;
       for (std::size_t j = i + 1; j < nodes.size(); ++j) {
         if (nodes[i] == nodes[j]) continue;
-        if (!row) row = &ctx.pair_row(nodes[i]);
+        if (!row) row = &ctx.read_row(nodes[i]);
         const auto v = static_cast<std::size_t>(nodes[j]);
         if (!row->reached[v]) {
           ev.connected = false;

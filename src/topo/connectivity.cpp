@@ -264,13 +264,20 @@ BottleneckRow bottleneck_row(const TopologyGraph& g, NodeId src,
 BottleneckRow bottleneck_row(const CsrAdjacency& adj, NodeId src,
                              std::span<const double> weight,
                              std::span<const double> weight2) {
+  BottleneckRow row;
+  bottleneck_row(adj, src, weight, weight2, row);
+  return row;
+}
+
+void bottleneck_row(const CsrAdjacency& adj, NodeId src,
+                    std::span<const double> weight,
+                    std::span<const double> weight2, BottleneckRow& row) {
   if (weight.size() != adj.link_count())
     throw std::invalid_argument("bottleneck_row: weight size mismatch");
   if (weight2.size() != adj.link_count())
     throw std::invalid_argument("bottleneck_row: weight2 size mismatch");
   constexpr double kInf = std::numeric_limits<double>::infinity();
   const std::size_t n = adj.node_count();
-  BottleneckRow row;
   row.bottleneck.assign(n, 0.0);
   row.bottleneck2.assign(n, 0.0);
   row.latency.assign(n, 0.0);
@@ -283,6 +290,7 @@ BottleneckRow bottleneck_row(const CsrAdjacency& adj, NodeId src,
   // cursor is the same queue discipline as the graph-walking overload. The
   // frontier *is* the discovery order, recorded as row.order.
   std::vector<NodeId>& fifo = row.order;
+  fifo.clear();
   fifo.reserve(n);
   fifo.push_back(src);
   for (std::size_t head = 0; head < fifo.size(); ++head) {
@@ -301,7 +309,6 @@ BottleneckRow bottleneck_row(const CsrAdjacency& adj, NodeId src,
       fifo.push_back(adj.neighbor[e]);
     }
   }
-  return row;
 }
 
 int largest_compute_component(const Components& c) {

@@ -168,5 +168,10 @@ BottleneckRow bottleneck_row(const TopologyGraph& g, NodeId src,
 BottleneckRow bottleneck_row(const CsrAdjacency& adj, NodeId src,
                              std::span<const double> weight,
                              std::span<const double> weight2);
+/// The same row built into `row`, reusing its storage: a per-thread
+/// scratch row allocates nothing once it has grown to the graph.
+void bottleneck_row(const CsrAdjacency& adj, NodeId src,
+                    std::span<const double> weight,
+                    std::span<const double> weight2, BottleneckRow& row);
 
 }  // namespace netsel::topo

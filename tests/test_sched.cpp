@@ -5,20 +5,25 @@
 // headline contract), exact snapshot
 // restore after drain(), the per-tenant degradation ladder under partial
 // measurement coverage, the rebalance path honouring a kept_current
-// reselect, and the determinism of the JobStream workload generator.
+// reselect, release and rebalance past a host removed from the topology,
+// the rebalancer's score cache against a full rescore, and the
+// determinism of the JobStream workload generator.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "obs/metrics.hpp"
+#include "remos/snapshot.hpp"
 #include "sched/scheduler.hpp"
 #include "sched/workload.hpp"
 #include "topo/synthetic.hpp"
+#include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
 namespace netsel::sched {
@@ -390,6 +395,194 @@ TEST(SchedulerService, RebalanceHonoursKeptCurrent) {
   EXPECT_EQ(sched.job(a_id).migrations, 0);
   EXPECT_EQ(sched.job(a_id).nodes, a_nodes);
   EXPECT_EQ(sched.job(a_id).state, JobState::Running);
+}
+
+// Take a host out of the topology the way a live system does: its links
+// first, then the (now degree-0) host, each announced to the snapshot.
+void remove_host(topo::TopologyGraph& g, remos::NetworkSnapshot& snap,
+                 topo::NodeId h) {
+  const auto span = g.links_of(h);
+  const std::vector<topo::LinkId> links(span.begin(), span.end());
+  for (topo::LinkId l : links) {
+    g.remove_link(l);
+    snap.notify_link_removed(l);
+  }
+  g.remove_node(h);
+  snap.notify_node_removed(h);
+}
+
+// A running job's host leaves the topology. Its release has no sensor to
+// restore on the tombstoned host and link, but must still free the job's
+// other hosts and restore their readings.
+TEST(SchedulerService, ReleaseSkipsRemovedHostAndFreesTheRest) {
+  auto g = small_fabric(53);
+  SchedulerService sched(g);  // rebalancing off
+  remos::NetworkSnapshot reference(g);
+
+  JobSpec spec;
+  spec.nodes = 4;
+  spec.duration = 10.0;
+  const std::uint64_t id = sched.submit(spec, 1.0);
+  sched.run_until(2.0);
+  ASSERT_EQ(sched.job(id).state, JobState::Running);
+  const std::vector<topo::NodeId> held = sched.job(id).nodes;
+  remove_host(g, sched.snapshot(), held.front());
+
+  ASSERT_NO_THROW(sched.run_until(20.0));
+  EXPECT_EQ(sched.job(id).state, JobState::Completed);
+  EXPECT_EQ(sched.stats().running, 0u);
+  for (std::size_t i = 1; i < held.size(); ++i) {
+    EXPECT_EQ(sched.snapshot().cpu(held[i]), reference.cpu(held[i]));
+    const topo::LinkId l = g.links_of(held[i]).front();
+    EXPECT_EQ(sched.snapshot().bw(l), reference.bw(l));
+  }
+
+  // Every host still in the topology is free again.
+  JobSpec all;
+  all.nodes = static_cast<int>(computes(g).size());
+  all.duration = 5.0;
+  all.criterion = select::Criterion::MaxCompute;
+  const std::uint64_t all_id = sched.submit(all, 21.0);
+  sched.run_until(22.0);
+  EXPECT_EQ(sched.job(all_id).state, JobState::Running);
+}
+
+// With rebalancing on, the post-release scan scores a placement with a
+// removed member 0 (as api::reselect does), so that job is the worst and
+// is moved off the tombstone.
+TEST(SchedulerService, RebalanceScoresRemovedHostAsZero) {
+  auto g = small_fabric(59);
+  SchedulerConfig cfg;
+  cfg.rebalance_on_release = true;
+  cfg.rebalance_budget = 2;
+  SchedulerService sched(g, cfg);
+  remos::apply_synthetic_load(sched.snapshot(), 61);
+
+  JobSpec long_job;
+  long_job.nodes = 4;
+  long_job.duration = 1000.0;
+  JobSpec short_job;
+  short_job.nodes = 4;
+  short_job.duration = 10.0;
+  const std::uint64_t a = sched.submit(long_job, 0.0);
+  const std::uint64_t b = sched.submit(short_job, 1.0);
+  sched.run_until(2.0);
+  ASSERT_EQ(sched.job(a).state, JobState::Running);
+  ASSERT_EQ(sched.job(b).state, JobState::Running);
+  const topo::NodeId gone = sched.job(a).nodes.front();
+  remove_host(g, sched.snapshot(), gone);
+
+  ASSERT_NO_THROW(sched.run_until(20.0));  // b departs: release + scan
+  EXPECT_EQ(sched.job(b).state, JobState::Completed);
+  EXPECT_GE(sched.stats().rebalance_attempts, 1u);
+  EXPECT_EQ(sched.job(a).state, JobState::Running);
+  EXPECT_GE(sched.job(a).migrations, 1);
+  EXPECT_EQ(std::count(sched.job(a).nodes.begin(), sched.job(a).nodes.end(),
+                       gone),
+            0);
+  ASSERT_NO_THROW(sched.drain());
+  EXPECT_EQ(sched.job(a).state, JobState::Completed);
+}
+
+// The rebalancer keeps each running job's score and rescores only the jobs
+// the deltas since its last scan can have changed. check_score_cache makes
+// the scheduler rescore every running job after every event and throw on
+// any cached score that is not bit-identical. The external writes below
+// reach every branch of the dirty rule: access-link and fabric-link
+// bandwidth, load and memory, host and link removal, and (with a
+// three-entry journal) a trimmed journal.
+TEST(SchedulerService, ScoreCacheMatchesFullRescoreUnderChurn) {
+  for (const std::size_t journal : {SchedulerConfig{}.journal_capacity,
+                                    std::size_t{3}}) {
+    SCOPED_TRACE("journal capacity " + std::to_string(journal));
+    auto g = small_fabric(67);
+    SchedulerConfig cfg;
+    cfg.schedule_interval = 1.0;
+    cfg.backfill_window = 6;
+    cfg.rebalance_on_release = true;
+    cfg.rebalance_budget = 1;
+    cfg.journal_capacity = journal;
+    cfg.check_score_cache = true;
+    SchedulerService sched(g, cfg);
+    remos::NetworkSnapshot& snap = sched.snapshot();
+    remos::apply_synthetic_load(snap, 71);
+    JobStream stream(pressured_workload(17));
+    stream.feed(sched, 40);
+
+    std::vector<topo::LinkId> fabric;
+    for (std::size_t l = 0; l < g.link_count(); ++l) {
+      const topo::Link& ln = g.link(static_cast<topo::LinkId>(l));
+      if (!g.is_compute(ln.a) && !g.is_compute(ln.b))
+        fabric.push_back(static_cast<topo::LinkId>(l));
+    }
+    ASSERT_GT(fabric.size(), 2u);
+    util::Rng rng(73);
+    auto pick = [&](std::size_t n) {
+      return static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+    };
+    int hosts_removed = 0;
+    for (int step = 1; step <= 160; ++step) {
+      const auto live = computes(g);
+      const topo::NodeId h = live[pick(live.size())];
+      snap.set_loadavg(h, rng.uniform(0.0, 3.0));
+      const topo::LinkId access = g.links_of(live[pick(live.size())]).front();
+      snap.set_bw(access, rng.uniform(0.1, 1.0) * snap.maxbw(access));
+      if (step % 3 == 0) {
+        const topo::LinkId l = fabric[pick(fabric.size())];
+        if (!g.link_removed(l))
+          snap.set_bw(l, rng.uniform(0.1, 1.0) * snap.maxbw(l));
+      }
+      if (step % 7 == 0) snap.set_free_memory(h, rng.uniform(1e8, 1e9));
+      if (step % 40 == 0 && hosts_removed < 2) {
+        // A host some running job holds, when there is one.
+        topo::NodeId victim = live.front();
+        for (const JobRecord& rec : sched.jobs())
+          if (rec.state == JobState::Running)
+            for (topo::NodeId n : rec.nodes)
+              if (g.is_compute(n)) victim = n;
+        remove_host(g, snap, victim);
+        ++hosts_removed;
+      }
+      if (step == 100) {
+        g.remove_link(fabric.front());
+        snap.notify_link_removed(fabric.front());
+      }
+      ASSERT_NO_THROW(sched.run_until(0.5 * step)) << "step " << step;
+    }
+    ASSERT_NO_THROW(sched.drain());
+    EXPECT_EQ(hosts_removed, 2);
+    EXPECT_GT(sched.stats().rebalance_attempts, 0u);
+    EXPECT_GT(sched.stats().rebalance_rescored, 0u);
+  }
+}
+
+// Without external churn, allocate/release write only the placed hosts
+// and their access links, so a scan rescores only the jobs those touched.
+// A one-entry journal makes every scan rescore every job instead; both
+// runs must decide the same.
+TEST(SchedulerService, RescoresOnlyChangedJobs) {
+  auto g = small_fabric(79);
+  auto run_once = [&](std::size_t journal) {
+    SchedulerConfig cfg;
+    cfg.schedule_interval = 1.0;
+    cfg.backfill_window = 6;
+    cfg.rebalance_on_release = true;
+    cfg.rebalance_budget = 1;
+    cfg.journal_capacity = journal;
+    SchedulerService sched(g, cfg);
+    remos::apply_synthetic_load(sched.snapshot(), 83);
+    JobStream stream(pressured_workload(19));
+    stream.feed(sched, 60);
+    sched.drain();
+    return std::make_pair(sched.state_digest(), sched.stats());
+  };
+  const auto [digest, stats] = run_once(SchedulerConfig{}.journal_capacity);
+  const auto [full_digest, full_stats] = run_once(1);
+  EXPECT_EQ(digest, full_digest);
+  ASSERT_GT(stats.rebalance_attempts, 0u);
+  EXPECT_EQ(stats.rebalance_attempts, full_stats.rebalance_attempts);
+  EXPECT_LT(stats.rebalance_rescored * 2, full_stats.rebalance_rescored);
 }
 
 TEST(JobStream, DeterministicAndShaped) {

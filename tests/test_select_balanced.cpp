@@ -1,13 +1,23 @@
-// Tests for the Figure-3 balanced computation + communication algorithm.
+// Tests for the Figure-3 balanced computation + communication algorithm,
+// and for the merge forest's per-thread workspace: calls that reuse it
+// across graphs of different sizes, after a node is added, and from many
+// threads on one shared context must each match the literal loop.
 
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <vector>
 
+#include "remos/snapshot.hpp"
 #include "select/algorithms.hpp"
 #include "select/brute_force.hpp"
+#include "select/context.hpp"
 #include "select/objective.hpp"
+#include "select/reference.hpp"
 #include "topo/generators.hpp"
+#include "topo/synthetic.hpp"
+#include "util/thread_pool.hpp"
 
 namespace netsel::select {
 namespace {
@@ -256,6 +266,128 @@ TEST(Balanced, MinCpuRequirementExcludesBusyNodes) {
   for (auto n : r.nodes) EXPECT_GE(snap.cpu(n), 0.5);
   opt.num_nodes = 4;
   EXPECT_FALSE(select_balanced(snap, opt).feasible);
+}
+
+// --- Merge-forest workspace -------------------------------------------------
+
+/// Option variants that reach every branch of the forest's set-up: the
+/// cached fraction order, a reference capacity, a min-bandwidth filter,
+/// the exhaustive rule and an eligibility mask.
+std::vector<SelectionOptions> forest_variants(const topo::TopologyGraph& g) {
+  std::vector<SelectionOptions> out;
+  for (int m : {2, 4, 8}) {
+    SelectionOptions plain;
+    plain.num_nodes = m;
+    out.push_back(plain);
+    SelectionOptions exhaustive = plain;
+    exhaustive.exhaustive_balanced = true;
+    out.push_back(exhaustive);
+    SelectionOptions reference = plain;
+    reference.reference_bw = topo::k100Mbps;
+    out.push_back(reference);
+    SelectionOptions min_bw = plain;
+    min_bw.min_bw_bps = 30 * topo::kMbps;
+    out.push_back(min_bw);
+    SelectionOptions both = reference;
+    both.min_bw_bps = 30 * topo::kMbps;
+    both.cpu_priority = 2.0;
+    out.push_back(both);
+    SelectionOptions masked = plain;
+    masked.eligible.assign(g.node_count(), 1);
+    for (std::size_t i = 0; i < masked.eligible.size(); i += 3)
+      masked.eligible[i] = 0;
+    out.push_back(masked);
+  }
+  return out;
+}
+
+void expect_identical(const SelectionResult& got, const SelectionResult& ref,
+                      const std::string& what) {
+  ASSERT_EQ(got.feasible, ref.feasible) << what;
+  EXPECT_EQ(got.nodes, ref.nodes) << what;
+  EXPECT_EQ(got.iterations, ref.iterations) << what;
+  if (!got.feasible) return;
+  EXPECT_EQ(got.min_cpu, ref.min_cpu) << what;
+  EXPECT_EQ(got.min_bw_fraction, ref.min_bw_fraction) << what;
+  EXPECT_EQ(got.objective, ref.objective) << what;
+}
+
+void check_all_variants(const SelectionContext& ctx, const std::string& what) {
+  const auto variants = forest_variants(ctx.graph());
+  for (std::size_t v = 0; v < variants.size(); ++v)
+    expect_identical(
+        select_balanced(ctx, variants[v]),
+        detail::reference_select_balanced(ctx.snapshot(), variants[v]),
+        what + " variant " + std::to_string(v));
+}
+
+// One thread, one workspace: large, small, cyclic and acyclic graphs in
+// turn, so each call runs on arrays a differently sized call left behind.
+TEST(BalancedWorkspace, ReusedAcrossGraphsOfDifferentSizes) {
+  std::vector<topo::TopologyGraph> graphs;
+  graphs.push_back(topo::fat_tree(topo::fat_tree_for_hosts(96, 8, 2.0, 3)));
+  graphs.push_back(topo::star(5));
+  topo::RandomCoreEdgeOptions core_edge;
+  core_edge.hosts = 40;
+  core_edge.seed = 5;
+  graphs.push_back(topo::random_core_edge(core_edge));
+  graphs.push_back(topo::fat_tree(topo::fat_tree_for_hosts(16, 8, 2.0, 7)));
+  graphs.push_back(topo::campus_wan());
+  graphs.push_back(topo::fat_tree(topo::fat_tree_for_hosts(64, 8, 3.0, 9)));
+  for (int pass = 0; pass < 2; ++pass) {
+    for (std::size_t i = 0; i < graphs.size(); ++i) {
+      remos::NetworkSnapshot snap(graphs[i]);
+      remos::apply_synthetic_load(snap, 100 + i + 10 * pass);
+      SelectionContext ctx(snap);
+      check_all_variants(ctx, "pass " + std::to_string(pass) + " graph " +
+                                  std::to_string(i));
+    }
+  }
+}
+
+// A warm context that then sees a node and a link appended: the workspace
+// must grow with the graph, and the context's cached fraction order must
+// pick up the new link.
+TEST(BalancedWorkspace, FollowsNodeAddition) {
+  auto g = topo::fat_tree(topo::fat_tree_for_hosts(32, 8, 2.0, 13));
+  remos::NetworkSnapshot snap(g);
+  remos::apply_synthetic_load(snap, 17);
+  SelectionContext ctx(snap);
+  check_all_variants(ctx, "before");
+  const topo::NodeId host = g.compute_nodes().front();
+  const topo::NodeId edge = g.other_end(g.links_of(host).front(), host);
+  for (int k = 0; k < 3; ++k) {
+    const topo::NodeId n = g.add_compute("late" + std::to_string(k));
+    snap.notify_node_added(n);
+    const topo::LinkId l = g.add_link(edge, n, topo::k100Mbps);
+    snap.notify_link_added(l);
+    snap.set_loadavg(n, 0.1 * k);
+    snap.set_bw(l, (0.3 + 0.2 * k) * topo::k100Mbps);
+    check_all_variants(ctx, "after add " + std::to_string(k));
+  }
+}
+
+// Lanes run selections concurrently on one synced context, each thread on
+// its own workspace (run under TSan in CI).
+TEST(BalancedWorkspace, PooledCallsOnSharedContext) {
+  auto g = topo::fat_tree(topo::fat_tree_for_hosts(64, 8, 2.0, 19));
+  remos::NetworkSnapshot snap(g);
+  remos::apply_synthetic_load(snap, 23);
+  const auto variants = forest_variants(g);
+  std::vector<SelectionResult> ref;
+  for (const auto& opt : variants)
+    ref.push_back(detail::reference_select_balanced(snap, opt));
+  SelectionContext ctx(snap);
+  ctx.sync();
+  util::ThreadPool pool(4);
+  constexpr std::size_t kRounds = 4;
+  std::vector<SelectionResult> got(variants.size() * kRounds);
+  util::parallel_for(pool, got.size(), [&](std::size_t i) {
+    got[i] = select_balanced(ctx, variants[i % variants.size()]);
+  });
+  for (std::size_t i = 0; i < got.size(); ++i)
+    expect_identical(got[i], ref[i % variants.size()],
+                     "call " + std::to_string(i));
 }
 
 }  // namespace

@@ -10,16 +10,21 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <string>
+#include <vector>
 
+#include "obs/metrics.hpp"
 #include "select/algorithms.hpp"
 #include "select/brute_force.hpp"
 #include "select/context.hpp"
 #include "select/objective.hpp"
 #include "select/reference.hpp"
 #include "topo/generators.hpp"
+#include "topo/synthetic.hpp"
+#include "util/thread_pool.hpp"
 
 namespace netsel::select {
 namespace {
@@ -357,6 +362,113 @@ TEST(ContextCaching, RepeatedQueriesReuseState) {
   }
   EXPECT_TRUE(ctx.current());
   EXPECT_EQ(ctx.epoch(), inst.snap->epoch());
+}
+
+// --- Row admission on second read -------------------------------------------
+
+void expect_same_evaluation(const SetEvaluation& a, const SetEvaluation& b,
+                            const std::string& what) {
+  EXPECT_EQ(a.connected, b.connected) << what;
+  EXPECT_EQ(a.min_cpu, b.min_cpu) << what;
+  EXPECT_EQ(a.min_pair_bw, b.min_pair_bw) << what;
+  EXPECT_EQ(a.min_pair_bw_fraction, b.min_pair_bw_fraction) << what;
+  EXPECT_EQ(a.balanced, b.balanced) << what;
+  EXPECT_EQ(a.max_pair_latency, b.max_pair_latency) << what;
+}
+
+// evaluate_set reads its rows through read_row(): a source's first read is
+// built transiently and leaves nothing cached, the second read caches the
+// row, and every read gives the same figures, bit for bit.
+TEST(RowAdmission, FirstReadTransientSecondReadCached) {
+  auto g = topo::fat_tree(topo::fat_tree_for_hosts(48, 8, 2.0, 31));
+  remos::NetworkSnapshot snap(g);
+  remos::apply_synthetic_load(snap, 37);
+  const auto hosts = g.compute_nodes();
+  const std::vector<topo::NodeId> set{hosts[1], hosts[9], hosts[20],
+                                      hosts[33], hosts[47]};
+  SelectionOptions opt;
+  opt.num_nodes = static_cast<int>(set.size());
+
+  const bool obs_was_on = obs::enabled();
+  obs::set_enabled(true);
+  obs::Counter& transient =
+      obs::Registry::global().counter("select.ctx.rows.transient");
+
+  SelectionContext ctx(snap);
+  const std::uint64_t t0 = transient.value();
+  const SetEvaluation first = evaluate_set(ctx, set, opt);
+  EXPECT_EQ(ctx.cached_rows(), 0u);
+  EXPECT_EQ(transient.value() - t0, set.size() - 1);
+  const SetEvaluation second = evaluate_set(ctx, set, opt);
+  EXPECT_EQ(ctx.cached_rows(), set.size() - 1);
+  EXPECT_EQ(transient.value() - t0, set.size() - 1);
+  const SetEvaluation third = evaluate_set(ctx, set, opt);
+  EXPECT_EQ(ctx.cached_rows(), set.size() - 1);
+  obs::set_enabled(obs_was_on);
+
+  expect_same_evaluation(second, first, "second read");
+  expect_same_evaluation(third, first, "third read");
+  const SetEvaluation ref = detail::reference_evaluate_set(snap, set, opt);
+  EXPECT_DOUBLE_EQ(first.min_pair_bw, ref.min_pair_bw);
+  EXPECT_DOUBLE_EQ(first.min_pair_bw_fraction, ref.min_pair_bw_fraction);
+  EXPECT_DOUBLE_EQ(first.balanced, ref.balanced);
+  EXPECT_DOUBLE_EQ(first.max_pair_latency, ref.max_pair_latency);
+
+  // Cached rows are repaired on their next read; a source read for the
+  // first time after the change is built from the new weights.
+  snap.set_bw(g.links_of(set[0]).front(), 0.05 * topo::k100Mbps);
+  snap.set_loadavg(set[2], 2.5);
+  std::vector<topo::NodeId> wider = set;
+  wider.insert(wider.begin(), hosts[0]);
+  opt.num_nodes = static_cast<int>(wider.size());
+  expect_same_evaluation(evaluate_set(ctx, wider, opt),
+                         evaluate_set(snap, wider, opt), "after mutation");
+  EXPECT_EQ(ctx.cached_rows(), set.size() - 1);
+}
+
+// pair_row() keeps caching on the first read: brute_force and bnb hold
+// many row references at once.
+TEST(RowAdmission, PairRowCachesOnFirstRead) {
+  auto inst = random_instance(5);
+  SelectionContext ctx(*inst.snap);
+  const auto hosts = inst.graph->compute_nodes();
+  const topo::BottleneckRow& row = ctx.pair_row(hosts[0]);
+  EXPECT_EQ(ctx.cached_rows(), 1u);
+  EXPECT_EQ(&ctx.read_row(hosts[0]), &row);
+}
+
+// Concurrent evaluations on one synced context: first reads land in each
+// thread's own scratch row, later ones in the shared cache (run under TSan
+// in CI).
+TEST(RowAdmission, PooledEvaluationsOnSharedContext) {
+  auto g = topo::fat_tree(topo::fat_tree_for_hosts(64, 8, 2.0, 41));
+  remos::NetworkSnapshot snap(g);
+  remos::apply_synthetic_load(snap, 43);
+  const auto hosts = g.compute_nodes();
+  std::vector<std::vector<topo::NodeId>> sets;
+  for (std::size_t k = 0; k < 24; ++k) {
+    std::vector<topo::NodeId> s;
+    for (std::size_t j = 0; j < 4; ++j)
+      s.push_back(hosts[(k * 5 + j * 11) % hosts.size()]);
+    std::sort(s.begin(), s.end());
+    s.erase(std::unique(s.begin(), s.end()), s.end());
+    sets.push_back(s);
+  }
+  SelectionOptions opt;
+  std::vector<SetEvaluation> ref;
+  for (const auto& s : sets) ref.push_back(evaluate_set(snap, s, opt));
+
+  SelectionContext ctx(snap);
+  ctx.sync();
+  util::ThreadPool pool(4);
+  constexpr std::size_t kRounds = 3;
+  std::vector<SetEvaluation> got(sets.size() * kRounds);
+  util::parallel_for(pool, got.size(), [&](std::size_t i) {
+    got[i] = evaluate_set(ctx, sets[i % sets.size()], opt);
+  });
+  for (std::size_t i = 0; i < got.size(); ++i)
+    expect_same_evaluation(got[i], ref[i % sets.size()],
+                           "evaluation " + std::to_string(i));
 }
 
 }  // namespace

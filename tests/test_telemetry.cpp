@@ -13,9 +13,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
+#include <cstdio>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "remos/snapshot.hpp"
@@ -172,6 +175,65 @@ TEST(FlightRecorder, DetailTruncatesAndDumps) {
   fr.dump(os);
   EXPECT_NE(os.str().find("admit"), std::string::npos);
   EXPECT_NE(os.str().find("a=42"), std::string::npos);
+}
+
+// Writers that wrap the 256-slot ring race for the same slots while a
+// reader takes tail() snapshots. A slot is claimed exclusively (a writer
+// that finds it busy drops its event), so every event a reader gets is
+// whole: its fields all derive from one value. Run under TSan in CI.
+TEST(FlightRecorder, ConcurrentWritersWrapWithoutTornReads) {
+  obs::FlightRecorder fr;
+  ASSERT_EQ(fr.capacity(), obs::FlightRecorder::kDefaultCapacity);
+  constexpr std::uint64_t kWriters = 4;
+  constexpr std::uint64_t kPerWriter = 20000;
+  auto detail_of = [](std::uint64_t v) {
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "v%llu-%llu",
+                  static_cast<unsigned long long>(v),
+                  static_cast<unsigned long long>(v % 977));
+    return std::string(buf);
+  };
+  auto whole = [&](const obs::FlightEvent& ev) {
+    return ev.kind == obs::FlightKind::Custom && ev.b == ~ev.a &&
+           ev.sim_time == static_cast<double>(ev.a) &&
+           std::string(ev.detail) == detail_of(ev.a);
+  };
+  std::atomic<bool> done{false};
+  std::uint64_t read = 0;
+  std::uint64_t torn = 0;
+  std::thread reader([&] {
+    while (!done.load(std::memory_order_acquire)) {
+      for (const obs::FlightEvent& ev : fr.tail()) {
+        ++read;
+        if (!whole(ev)) ++torn;
+      }
+    }
+  });
+  std::vector<std::thread> writers;
+  for (std::uint64_t w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&, w] {
+      for (std::uint64_t i = 0; i < kPerWriter; ++i) {
+        const std::uint64_t v = (w << 32) | i;
+        fr.record(obs::FlightKind::Custom, static_cast<double>(v), v, ~v,
+                  detail_of(v));
+      }
+    });
+  }
+  for (std::thread& t : writers) t.join();
+  done.store(true, std::memory_order_release);
+  reader.join();
+
+  EXPECT_EQ(fr.recorded(), kWriters * kPerWriter);
+  EXPECT_EQ(torn, 0u) << "of " << read << " events read";
+  const std::vector<obs::FlightEvent> tail = fr.tail();
+  ASSERT_FALSE(tail.empty());
+  EXPECT_LE(tail.size(), fr.capacity());
+  for (std::size_t i = 0; i < tail.size(); ++i) {
+    EXPECT_TRUE(whole(tail[i])) << "tail index " << i;
+    if (i > 0) {
+      EXPECT_LT(tail[i - 1].seq, tail[i].seq);
+    }
+  }
 }
 
 // --- Scheduler integration -------------------------------------------------
